@@ -43,6 +43,9 @@ def roman_to_int(value: str) -> int:
             raise CorpusFormatError(f"bad roman numeral {value!r}")
         total = total - n if n < prev else total + n
         prev = max(prev, n)
+    # standard form: 1 to 3999, each value written one way
+    if not 0 < total < 4000 or int_to_roman(total) != value.upper():
+        raise CorpusFormatError(f"non-canonical roman numeral {value!r}")
     return total
 
 

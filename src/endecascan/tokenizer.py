@@ -72,6 +72,27 @@ def normalize_line(line: str) -> str:
     for variant in _APOSTROPHE_VARIANTS:
         line = line.replace(variant, APOSTROPHE)
 
+    if "‘" in line:
+        line = _rewrite_open_quotes(line)
+
+    # keep whole-word exceptions intact, split every other letter-'-letter
+    pieces = []
+    pos = 0
+    for m in _WORD_RUN_RE.finditer(line):
+        pieces.append(line[pos:m.start()])
+        run = m.group(0)
+        if run.lower() in NO_SPLIT_WORDS:
+            pieces.append(run)
+        else:
+            pieces.append(_SPLIT_RE.sub(APOSTROPHE + " ", run))
+        pos = m.end()
+    pieces.append(line[pos:])
+    line = "".join(pieces)
+
+    return " ".join(line.split())
+
+
+def _rewrite_open_quotes(line: str) -> str:
     out = []
     i = 0
     while i < len(line):
@@ -92,23 +113,7 @@ def normalize_line(line: str) -> str:
         else:
             out.append(ch)
         i += 1
-    line = "".join(out)
-
-    # keep whole-word exceptions intact, split every other letter-'-letter
-    pieces = []
-    pos = 0
-    for m in _WORD_RUN_RE.finditer(line):
-        pieces.append(line[pos:m.start()])
-        run = m.group(0)
-        if run.lower() in NO_SPLIT_WORDS:
-            pieces.append(run)
-        else:
-            pieces.append(_SPLIT_RE.sub(APOSTROPHE + " ", run))
-        pos = m.end()
-    pieces.append(line[pos:])
-    line = "".join(pieces)
-
-    return " ".join(line.split())
+    return "".join(out)
 
 
 def _has_closing_quote(rest: str) -> bool:

@@ -20,6 +20,9 @@ def test_roman_numerals():
     assert roman_to_int("CXXXVI") == 136
     with pytest.raises(CorpusFormatError):
         roman_to_int("Q")
+    for numeral in ("IIII", "MMMMM", "IC", "VX", "XIIX", ""):
+        with pytest.raises(CorpusFormatError):
+            roman_to_int(numeral)
 
 
 def test_parse_canto(canto_document):

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from endecascan.lexicon import (PROB_ONE, PROB_ZERO, Propensity, WordAnalysis,
                                 build_lexicon)
-from endecascan.scander import (ScanConfig, ScanState, ScanStatus, advance,
-                                finalize, meld_probability, scan_verse,
-                                split_surface)
-from endecascan.tokenizer import Token, TokenKind, normalize_line, tokenize
+from endecascan.scander import (AccentMark, ScanConfig, ScanState, ScanStatus,
+                                advance, finalize, meld_probability,
+                                scan_verse, split_surface)
+from endecascan.tokenizer import (Token, TokenKind, normalize_line, tokenize,
+                                  word_tokens)
+from test_acceptance import PERMISSIVE, verse_st
 
 A = Propensity.apostrophe()
 
@@ -87,6 +90,57 @@ def test_advance_deterministic_word_single_successor():
     assert successor.count == 7
     assert successor.likelihood == 1.0
     assert successor.text == "|Nel |mez|zo |del |cam|min |di"
+
+
+def test_advance_keeps_caller_prefix():
+    prefix = (AccentMark(2, True, True, 0), AccentMark(4, True, True, 1),
+              AccentMark(6, True, True, 2))
+    state = ScanState(text="|e|sta |sel|va |sel|vag|gia", likelihood=1.0,
+                      count=7, pending_p_r=P(1), a4=True, a6=True,
+                      melds=(False, False, False), accents=prefix)
+    cfg = ScanConfig()
+    states = advance([state], word_token("e"), (E_ANALYSIS,), 3, False, cfg)
+    states = advance(states, word_token("aspra"), (ASPRA,), 4, True, cfg)
+    assert len(states) == 4
+    for s in states:
+        assert s.melds[:3] == (False, False, False)
+        assert len(s.melds) == 5
+        assert s.accents[:3] == prefix
+        assert [m.word_index for m in s.accents[3:]] == [3, 4]
+        assert s.accents[-1].position == s.count - 1  # àspra
+    assert [s.melds[3:] for s in states] == \
+        [(True, True), (True, False), (False, True), (False, False)]
+    assert states[0].text == "|e|sta |sel|va |sel|vag|gia e a|spra"
+
+
+@pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
+                         ids=["default", "permissive"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verse=verse_st)
+def test_final_state_fields_agree_with_text(seed_lexicon, cfg, verse):
+    tokens = tokenize(normalize_line(verse))
+    words = word_tokens(tokens)
+    for state in scan_verse(tokens, seed_lexicon, cfg).final_states:
+        # one space-separated chunk per word; a melded word opens without "|"
+        chunks = state.text.split(" ")
+        assert len(chunks) == len(words)
+        assert state.melds == tuple(not c.startswith("|") for c in chunks)
+        accents = state.accents
+        assert [m.word_index for m in accents] == \
+            sorted(m.word_index for m in accents)
+        count = 0
+        for index, (word, chunk) in enumerate(zip(words, chunks)):
+            count += chunk.count("|")  # syllables through this word
+            marks = [m for m in accents if m.word_index == index]
+            sylls = tuple(chunk.lstrip("|").lower().split("|"))
+            assert any([(m.position, m.primary) for m in marks] ==
+                       [(count + o, o == a.accents[0]) for o in a.accents]
+                       for a in seed_lexicon.lookup(word.key)
+                       if a.syllables == sylls), (state.text, index)
+            eligible = seed_lexicon.is_stress_eligible(word.key)
+            assert all(m.eligible == eligible for m in marks)
+        assert count == state.count
 
 
 def test_advance_conserves_likelihood_and_grows_counts(seed_lexicon, canto_verses):
