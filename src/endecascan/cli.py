@@ -101,9 +101,10 @@ def _cmd_corpus(args) -> int:
                 return _fail(str(exc))
             # bundled amendments target the full Comedy; partial corpora
             # simply do not contain those verses
+            present = {(cantica.lower(), canto, line)
+                       for (cantica, canto, line), _ in doc.iter_verses()}
             applicable = [a for a in amendments
-                          if any(loc == (a.cantica, a.canto, a.line)
-                                 for loc, _ in doc.iter_verses())]
+                          if (a.cantica.lower(), a.canto, a.line) in present]
             doc = corpus.apply_amendments(doc, applicable)
         report = corpus.scan_document(doc, lex, ScanConfig())
         paths = corpus.write_outputs(report, args.out, Path(args.infile).stem)

@@ -14,14 +14,15 @@ TAB-separated fields::
 
 where propensities are decimals in [0, 1] or the literal ``A``
 (apostrophe sentinel), the syllabification joins syllables with ``|``
-and accents is a comma-separated offset list, primary first.  A line
-``@stress-ineligible`` followed by TAB-separated keys declares the
-monosyllables that never count as metrical accents.
+and must spell the key, and accents is a comma-separated offset list,
+primary first.  A line ``@stress-ineligible`` followed by TAB-separated
+keys declares the monosyllables that never count as metrical accents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 WEIGHT_TOLERANCE = 1e-9
@@ -130,13 +131,20 @@ class WordAnalysis:
         if not 0.0 < self.weight <= 1.0:
             raise LexiconValidationError(f"weight must be in (0, 1]: {self.weight!r}")
 
-    @property
+    # derived once per analysis; the cached values sit outside the fields,
+    # so equality and hashing still read the fields alone
+    @cached_property
     def form(self) -> str:
         return "".join(self.syllables)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.syllables)
+
+    @cached_property
+    def rendered(self) -> str:
+        """The syllables joined by bars, as a scansion renders them."""
+        return "|".join(self.syllables)
 
     @property
     def tuple(self) -> MetricTuple:
@@ -223,6 +231,9 @@ def parse_lexicon(text: str) -> Lexicon:
         p_l = _parse_propensity(p_l_s, line_no)
         p_r = _parse_propensity(p_r_s, line_no)
         syllables = tuple(sylls_s.split("|"))
+        if "".join(syllables) != key:
+            raise LexiconParseError(
+                f"syllables {sylls_s!r} do not spell key {key!r}", line_no)
         try:
             accents = tuple(int(a) for a in accents_s.split(","))
         except ValueError:

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .lexicon import PROB_ZERO, Lexicon, Propensity, UnknownWord, WordAnalysis
+from .lexicon import (APOSTROPHE_VALUE, PROB_ZERO, Lexicon, Propensity,
+                      UnknownWord, WordAnalysis)
 from .tokenizer import Token, word_tokens
 
 TENTH = 10
@@ -51,9 +52,9 @@ class ScanConfig:
             raise ValueError("floors must be positive")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AccentMark:
-    """One accent landing inside a scanned verse."""
+    """One accent landing inside a scanned verse; a value, never assigned to."""
 
     position: int
     primary: bool
@@ -80,7 +81,10 @@ class _Step:
         # the word's rendered text after a melded junction, after a
         # separate one, and at the very start of the text
         joint = prev_trail + token.lead
-        body = "|".join(split_surface(token.word, analysis))
+        if token.word == analysis.form:
+            body = analysis.rendered
+        else:  # e.g. a capitalised word: cut its own letters
+            body = "|".join(split_surface(token.word, analysis))
         self.melded = joint + " " + body
         self.apart = joint + " |" + body
         self.opening = self.apart if joint else "|" + body
@@ -297,8 +301,14 @@ def advance(states: list[ScanState], token: Token,
     successors: list[ScanState] = []
     order = 0
     for state in states:
+        p_r = state.pending_p_r
         for step in steps:
-            m = meld_probability(state.pending_p_r, step.p_l)
+            # meld_probability's plain product, inlined for the common case
+            if (p_r.value == APOSTROPHE_VALUE
+                    or step.p_l.value == APOSTROPHE_VALUE):
+                m = meld_probability(p_r, step.p_l)
+            else:
+                m = p_r.value * step.p_l.value
             if m >= 1.0:
                 branches = _MELD_ONLY
             elif m <= 0.0:

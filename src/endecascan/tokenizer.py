@@ -2,14 +2,18 @@
 
 A verse is processed as a flat sequence of tokens: words and punctuation.
 Punctuation never affects the metre, but it must survive into the rendered
-output, so punctuation marks are captured as leading/trailing context of
-the neighbouring word tokens.
+output, so `tokenize` builds each word token once, with its final
+punctuation context: a standalone mark that opens (or comes before the
+first word) joins the next word's `lead`, any other joins the previous
+word's `trail`.  The mark also stays in the stream as a PUNCT token, so
+the stream still rebuilds the line.
 
 Apostrophes are the delicate part.  The canonical apostrophe is U+2019.
 An apostrophe glued between two letters marks an elision boundary
 ("ch'io", "l'altre") and splits the compound into two word tokens; a
 leading apostrophe marks aphaeresis ("'l", "'mpediva") and stays attached
-to its word, as does a trailing one ("vid'", "de'").
+to its word, as does a trailing one ("vid'", "de'").  A line with no
+U+2019 after normalization has no elision to split.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ NO_SPLIT_WORDS = frozenset({"acco’lo", "entra’mi"})
 
 _PUNCT_OPEN = "«“(‘\""
 _SPLIT_RE = re.compile(r"(?<=[^\W\d_])’(?=[^\W\d_])", re.UNICODE)
-_WORD_RUN_RE = re.compile(r"[^\W\d_’]+(?:’[^\W\d_]+)*’?", re.UNICODE)
+# a run of letters and apostrophes with at least one apostrophe between
+# letters: the only runs that an elision split can change
+_ELISION_RUN_RE = re.compile(r"[^\W\d_’]+(?:’[^\W\d_]+)+’?", re.UNICODE)
 
 
 class TokenKind(Enum):
@@ -37,13 +43,14 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """One verse token.
 
     surface is the original whitespace-delimited slice (punctuation
     included); for word tokens, word/key hold the bare form and the
     lexicon key, and lead/trail the punctuation context for rendering.
+    Tokens are values; never assign to one.
     """
 
     kind: TokenKind
@@ -53,10 +60,6 @@ class Token:
     key: str = ""
     lead: str = ""
     trail: str = ""
-
-
-def _is_letter(ch: str) -> bool:
-    return ch.isalpha()
 
 
 def normalize_line(line: str) -> str:
@@ -75,21 +78,18 @@ def normalize_line(line: str) -> str:
     if "‘" in line:
         line = _rewrite_open_quotes(line)
 
-    # keep whole-word exceptions intact, split every other letter-'-letter
-    pieces = []
-    pos = 0
-    for m in _WORD_RUN_RE.finditer(line):
-        pieces.append(line[pos:m.start()])
-        run = m.group(0)
-        if run.lower() in NO_SPLIT_WORDS:
-            pieces.append(run)
-        else:
-            pieces.append(_SPLIT_RE.sub(APOSTROPHE + " ", run))
-        pos = m.end()
-    pieces.append(line[pos:])
-    line = "".join(pieces)
+    if APOSTROPHE in line:
+        line = _ELISION_RUN_RE.sub(_split_elisions, line)
 
     return " ".join(line.split())
+
+
+def _split_elisions(match: re.Match) -> str:
+    # keep whole-word exceptions intact, split every other letter-'-letter
+    run = match.group(0)
+    if run.lower() in NO_SPLIT_WORDS:
+        return run
+    return _SPLIT_RE.sub(APOSTROPHE + " ", run)
 
 
 def _rewrite_open_quotes(line: str) -> str:
@@ -99,7 +99,7 @@ def _rewrite_open_quotes(line: str) -> str:
         ch = line[i]
         if ch == "‘":
             rest = line[i + 1:]
-            if rest[:1] and _is_letter(rest[0]) and not _has_closing_quote(rest):
+            if rest[:1].isalpha() and not _has_closing_quote(rest):
                 out.append(APOSTROPHE)  # quote glyph used for aphaeresis
             else:
                 closer = _closing_quote_index(rest)
@@ -124,31 +124,29 @@ def _closing_quote_index(rest: str) -> int | None:
     # a closing candidate is an apostrophe glyph preceded by a non-letter,
     # e.g. "misericordes!'"; a letter-adjacent one is a real apostrophe
     for j in range(1, len(rest)):
-        if rest[j] == APOSTROPHE and not _is_letter(rest[j - 1]):
+        if rest[j] == APOSTROPHE and not rest[j - 1].isalpha():
             return j
     return None
 
 
-def _is_word_char(ch: str) -> bool:
-    return _is_letter(ch) or ch == APOSTROPHE
-
-
 def _split_piece(piece: str) -> tuple[str, str, str]:
     """Split one whitespace-delimited piece into (lead, word, trail)."""
+    if piece[0].isalpha() and piece[-1].isalpha():
+        return "", piece, ""
     start = 0
     while start < len(piece):
         ch = piece[start]
-        if _is_letter(ch):
+        if ch.isalpha():
             break
-        if ch == APOSTROPHE and start + 1 < len(piece) and _is_letter(piece[start + 1]):
+        if ch == APOSTROPHE and start + 1 < len(piece) and piece[start + 1].isalpha():
             break  # aphaeresis apostrophe belongs to the word
         start += 1
     end = len(piece)
     while end > start:
         ch = piece[end - 1]
-        if _is_letter(ch):
+        if ch.isalpha():
             break
-        if ch == APOSTROPHE and end - 1 > start and _is_letter(piece[end - 2]):
+        if ch == APOSTROPHE and end - 1 > start and piece[end - 2].isalpha():
             break  # trailing elision apostrophe belongs to the word
         end -= 1
     return piece[:start], piece[start:end], piece[end:]
@@ -159,6 +157,10 @@ def lex_key(word: str) -> str:
     return word.lower()
 
 
+def _opens(mark: str) -> bool:
+    return any(ch in _PUNCT_OPEN for ch in mark)
+
+
 def tokenize(line: str) -> list[Token]:
     """Split a normalized line into word and punctuation tokens.
 
@@ -166,39 +168,29 @@ def tokenize(line: str) -> list[Token]:
     the neighbouring word (opening marks lean right, everything else
     left), so renderers only ever need the word tokens.
     """
-    raw: list[Token] = []
-    for piece in line.split(" "):
-        if not piece:
-            continue
-        lead, word, trail = _split_piece(piece)
-        space = bool(raw)
-        if word:
-            raw.append(Token(TokenKind.WORD, piece, space, word, lex_key(word), lead, trail))
-        elif piece:
-            raw.append(Token(TokenKind.PUNCT, piece, space))
-
-    # fold standalone punctuation into neighbour word context
+    pieces = [piece for piece in line.split(" ") if piece]
+    parts = [_split_piece(piece) for piece in pieces]
     tokens: list[Token] = []
     pending_lead = ""
-    for tok in raw:
-        if tok.kind is TokenKind.PUNCT:
-            word_seen = any(t.kind is TokenKind.WORD for t in tokens)
-            if any(ch in _PUNCT_OPEN for ch in tok.surface) or not word_seen:
-                pending_lead += tok.surface
-            else:
-                for j in range(len(tokens) - 1, -1, -1):
-                    if tokens[j].kind is TokenKind.WORD:
-                        t = tokens[j]
-                        tokens[j] = Token(t.kind, t.surface, t.space_before, t.word,
-                                          t.key, t.lead, t.trail + tok.surface)
-                        break
-            tokens.append(tok)
-        else:
-            if pending_lead:
-                tok = Token(tok.kind, tok.surface, tok.space_before, tok.word,
-                            tok.key, pending_lead + tok.lead, tok.trail)
-                pending_lead = ""
-            tokens.append(tok)
+    seen_word = False
+    last = len(parts) - 1
+    for i, (piece, (lead, word, trail)) in enumerate(zip(pieces, parts)):
+        if not word:
+            # a mark after a word that does not open is in its trail already
+            if not seen_word or _opens(piece):
+                pending_lead += piece
+            tokens.append(Token(TokenKind.PUNCT, piece, i > 0))
+            continue
+        # the marks up to the next word that do not open join the trail
+        j = i
+        while j < last and not parts[j + 1][1]:
+            j += 1
+            if not _opens(pieces[j]):
+                trail += pieces[j]
+        tokens.append(Token(TokenKind.WORD, piece, i > 0, word, lex_key(word),
+                            pending_lead + lead, trail))
+        pending_lead = ""
+        seen_word = True
     return tokens
 
 

@@ -81,7 +81,6 @@ class RuleConfig:
     accented_final_default_p_r: float = 0.1
     diphthong_boundary_p: float = 0.0
     hiatus_exception_words: frozenset[str] = frozenset()
-    dieresis_characters: frozenset[str] = frozenset(DIERESIS_VOWELS)
 
     def __post_init__(self):
         overlap = self.never_synalephe_monosyllables & set(

@@ -90,6 +90,17 @@ def test_lex_check(capsys, tmp_path):
     assert code == 1
 
 
+def test_analysis_that_does_not_spell_its_key(capsys, tmp_path):
+    bad = tmp_path / "bad.lex"
+    bad.write_text("selva\t1\t0.5\t0.5\tsel|v\t-1\n", "utf-8")
+    code, _, err = run(capsys, "lex", "check", str(bad))
+    assert code == 1
+    assert err.startswith("invalid: line 1: ")
+    code, out, err = run(capsys, "scan", "--lexicon", str(bad), "selva")
+    assert code == 2
+    assert "line 1" in err and not out
+
+
 def test_lex_build_drafts_entries(capsys, tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("selva\noscura\navea\n", "utf-8")
@@ -147,3 +158,18 @@ def test_stats_subcommand(capsys):
     lines = out.splitlines()
     assert lines[0] == "pattern\tcount"
     assert sum(int(l.split("\t")[1]) for l in lines[1:]) == 136
+
+
+def test_bundled_amendments_match_cantica_in_any_case(capsys, tmp_path):
+    # only Inferno XX,81 of the bundled amendments is in this corpus, so
+    # the partial-corpus path applies it; the cantica is matched ignoring
+    # case, as the strict path matches it
+    verses = ["Nel mezzo del cammin di nostra vita"] * 80
+    verses.append("ché bella son tutte essere grama")
+    src = tmp_path / "partial.txt"
+    src.write_text("INFERNO: Canto XX\n\n" + "\n".join(verses) + "\n", "utf-8")
+    code, _, _ = run(capsys, "corpus", "--lexicon", SEED, "--in", str(src),
+                     "--out", str(tmp_path / "out"))
+    syl = (tmp_path / "out" / "partial.syl.txt").read_text("utf-8")
+    assert "esser grama" in syl and "essere" not in syl
+    assert code == 1  # the amended verse has words the seed lexicon lacks

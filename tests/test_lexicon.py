@@ -74,6 +74,19 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon("selva\t1\t2\t1\tsel|va\t-1\n")
 
 
+def test_parse_rejects_syllables_that_do_not_spell_the_key():
+    with pytest.raises(LexiconParseError, match="line 2: .*do not spell"):
+        parse_lexicon("e\t1\t0.9\t0.2\te\t0\nselva\t1\t0.5\t0.5\tsel|v\t-1\n")
+    with pytest.raises(LexiconParseError, match="line 1"):
+        parse_lexicon("selva\t1\t0\t1\tsel|vaa\t-1\n")
+
+
+def test_rendered_joins_the_syllables():
+    (analysis,) = parse_lexicon(SELVA_LINE).lookup("selva")
+    assert analysis.rendered == "sel|va"
+    assert (analysis.form, analysis.n) == ("selva", 2)
+
+
 def test_parse_rejects_unnormalized_keys():
     with pytest.raises(LexiconParseError, match="case-folded"):
         parse_lexicon("Selva\t1\t0\t1\tsel|va\t-1\n")

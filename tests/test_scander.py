@@ -54,6 +54,25 @@ def test_split_surface_preserves_case():
         split_surface("Nelo", analysis)
 
 
+def test_scan_renders_capitalised_words_and_rejects_mismatched_analyses():
+    lex = build_lexicon({"selva": [WordAnalysis(("sel", "va"), (-1,), P(0), P(1))]})
+    assert scan("Selva selva", lex, require_a10=False).final_states[0].text \
+        == "|Sel|va |sel|va"
+    bad = build_lexicon({"selva": [WordAnalysis(("sel", "v"), (-1,), P(0), P(1))]})
+    for word in ("selva", "Selva"):
+        with pytest.raises(ValueError, match="does not cover"):
+            scan(word, bad)
+
+
+def test_equal_accent_marks_hash_equal():
+    a, b = AccentMark(4, True, True, 1), AccentMark(4, True, True, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != AccentMark(4, False, True, 1)
+    assert len({a, b, AccentMark(6, True, True, 2)}) == 2
+    assert repr(a) == \
+        "AccentMark(position=4, primary=True, eligible=True, word_index=1)"
+
+
 E_ANALYSIS = WordAnalysis(("e",), (0,), P(0.9), P(0.2))
 ASPRA = WordAnalysis(("a", "spra"), (-1,), P(1), P(1))
 DI = WordAnalysis(("di",), (0,), P(0), P(1))

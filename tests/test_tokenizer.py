@@ -1,4 +1,10 @@
-from endecascan.tokenizer import (APOSTROPHE, TokenKind, lex_key,
+from dataclasses import astuple
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from endecascan.tokenizer import (APOSTROPHE, Token, TokenKind, lex_key,
                                   normalize_line, reconstruct, tokenize,
                                   word_tokens)
 
@@ -102,3 +108,38 @@ def test_standalone_punct_token_attaches_right():
     kinds = [t.kind for t in tokens]
     assert kinds == [TokenKind.PUNCT, TokenKind.WORD]
     assert word_tokens(tokens)[0].lead == "«"
+
+
+def test_equal_tokens_hash_equal():
+    a = tokenize(normalize_line("«Tant’ è amara», disse"))
+    b = tokenize(normalize_line("«Tant’ è amara», disse"))
+    assert a == b
+    assert [hash(t) for t in a] == [hash(t) for t in b]
+    assert Token(TokenKind.WORD, "e", True, "e", "e") == \
+        Token(TokenKind.WORD, "e", True, "e", "e", "", "")
+    assert len({*a, *b}) == len(a)
+
+
+# letters of both cases, with and without accents, apostrophes and their
+# look-alikes, the left quote, trailing punctuation and opening marks
+MIXED_LETTERS = "abcelmnoqrsuvzàèéìòùïëAEIOSTÈÉÒÙÏ"
+APOSTROPHES = ["’", "'", "ʼ", "′", "`", "‘"]
+PUNCT_POOL = [",", ".", ";", ":", "!", "?", "«", "»", "»,", "?».", "’"]
+OPENERS = ["«", "“", "(", '"']
+fragment_st = st.one_of(
+    st.text(alphabet=MIXED_LETTERS, min_size=1, max_size=7),
+    st.sampled_from(APOSTROPHES + PUNCT_POOL + OPENERS
+                    + ["acco’lo", "Entra'mi", "”", ")"]),
+    st.sampled_from([" ", " ", "  "]))
+raw_line_st = st.lists(fragment_st, max_size=16).map("".join)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw_line_st)
+def test_front_end_matches_reference(line):
+    normalized = normalize_line(line)
+    assert normalized == oracle.normalize_line(line)
+    for text in (normalized, line):
+        got = [astuple(t) for t in tokenize(text)]
+        assert got == [astuple(t) for t in oracle.tokenize(text)]
