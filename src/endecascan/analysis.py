@@ -76,9 +76,10 @@ def accent_pattern(scansion: VerseScansion, lex: Lexicon,
                    include_secondary: bool = False) -> AccentPattern:
     """Stress profile of the chosen state over its syllable positions.
 
-    Primary accents of stress-eligible words are marked; the accent
-    satisfying the tenth-syllable constraint is always marked even when
-    it comes from a word outside the eligible set.
+    Primary accents of stress-eligible words are marked, and secondary
+    ones too with include_secondary; accents of words outside the
+    eligible set are skipped.  The tenth-syllable accent is among the
+    marks because the scanner sets a10 only from an eligible word.
     """
     chosen = scansion.chosen
     if chosen is None:

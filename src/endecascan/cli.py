@@ -20,7 +20,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import analysis, corpus, seedlex, wordrules
+# corpus, analysis, seedlex and wordrules are imported inside the commands
+# that use them, so that `scan` and `lex check` start without them
 from .lexicon import Lexicon, LexiconError, parse_lexicon, serialize_lexicon
 from .scander import ScanConfig, ScanStatus, scan_verse
 from .tokenizer import normalize_line, tokenize
@@ -84,6 +85,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus
     try:
         lex = _load_lexicon(args.lexicon)
         text = Path(args.infile).read_text("utf-8")
@@ -123,6 +125,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_lex_build(args) -> int:
+    from . import seedlex, wordrules
     try:
         cfg = (wordrules.load_rule_config(Path(args.rules).read_text("utf-8"))
                if args.rules else wordrules.default_config())
@@ -149,12 +152,14 @@ def _cmd_lex_check(args) -> int:
 
 
 def _scan_report(args):
+    from . import corpus
     lex = _load_lexicon(args.lexicon)
     doc = corpus.parse_corpus(Path(args.infile).read_text("utf-8"))
     return corpus.scan_document(doc, lex, ScanConfig()), lex
 
 
 def _cmd_query(args) -> int:
+    from . import analysis, corpus
     try:
         report, _ = _scan_report(args)
     except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
@@ -165,6 +170,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import analysis, corpus
     try:
         report, lex = _scan_report(args)
     except (OSError, LexiconError, corpus.CorpusFormatError) as exc:

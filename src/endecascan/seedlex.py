@@ -12,8 +12,8 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable
 
-from .lexicon import (Lexicon, LexiconParseError, Propensity, WordAnalysis,
-                      build_lexicon)
+from .lexicon import (Lexicon, LexiconParseError, WordAnalysis,
+                      _parse_propensity, build_lexicon)
 from .wordrules import RuleConfig, build_analyses, default_config
 
 # monosyllables that never count as metrical accents: articles, articled
@@ -22,15 +22,6 @@ STRESS_INELIGIBLE = frozenset((
     "il lo la li le i un di a da in con su per tra fra e o che"
     " mi ti si ci vi ne ed od ad del al dal nel sul col dei ai"
 ).split() + ["’l", "de’", "a’", "da’", "ne’", "co’"])
-
-
-def _parse_propensity_field(text: str, line_no: int) -> Propensity:
-    if text == "A":
-        return Propensity.apostrophe()
-    try:
-        return Propensity.prob(float(text))
-    except ValueError:
-        raise LexiconParseError(f"bad propensity {text!r}", line_no) from None
 
 
 def load_nondet_table(all_variants: bool = False) -> dict[str, list[WordAnalysis]]:
@@ -54,8 +45,8 @@ def load_nondet_table(all_variants: bool = False) -> dict[str, list[WordAnalysis
         table.setdefault(key, []).append(WordAnalysis(
             tuple(sylls.split("|")),
             tuple(int(a) for a in accents.split(",")),
-            _parse_propensity_field(p_l, line_no),
-            _parse_propensity_field(p_r, line_no),
+            _parse_propensity(p_l, line_no),
+            _parse_propensity(p_r, line_no),
             float(weight)))
     # renormalize single-variant leftovers of opt-in families
     for key, variants in table.items():

@@ -10,7 +10,7 @@ always wins over rule output.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Iterable, Mapping
 
@@ -98,12 +98,15 @@ def default_config() -> RuleConfig:
 
 
 def load_rule_config(text: str) -> RuleConfig:
-    """Read a config file: TAB-separated `setting<TAB>value...` lines."""
-    never = set(NEVER_SYNALEPHE)
-    prob = dict(PROBABILISTIC_MONOSYLLABLES)
-    hiatus: set[str] = set()
-    accented_p_r = 0.1
-    diphthong_p = 0.0
+    """Read a config file: TAB-separated `setting<TAB>value...` lines.
+
+    Settings the file does not name keep their `RuleConfig()` value, so
+    the hiatus list starts empty rather than from the bundled one.
+    """
+    cfg = RuleConfig()
+    prob = dict(cfg.probabilistic_monosyllables)
+    hiatus = set(cfg.hiatus_exception_words)
+    settings = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -111,7 +114,8 @@ def load_rule_config(text: str) -> RuleConfig:
         fields = line.split("\t")
         key, args = fields[0], fields[1:]
         if key == "never-synalephe":
-            never = set(a.lower() for a in args)
+            settings["never_synalephe_monosyllables"] = frozenset(
+                a.lower() for a in args)
         elif key == "probabilistic":
             if len(args) != 3:
                 raise WordRuleError(f"line {line_no}: expected word, p_l, p_r")
@@ -119,18 +123,13 @@ def load_rule_config(text: str) -> RuleConfig:
         elif key == "hiatus":
             hiatus.update(a.lower() for a in args)
         elif key == "accented-final-p-r":
-            accented_p_r = float(args[0])
+            settings["accented_final_default_p_r"] = float(args[0])
         elif key == "diphthong-p":
-            diphthong_p = float(args[0])
+            settings["diphthong_boundary_p"] = float(args[0])
         else:
             raise WordRuleError(f"line {line_no}: unknown setting {key!r}")
-    return RuleConfig(
-        never_synalephe_monosyllables=frozenset(never),
-        probabilistic_monosyllables=prob,
-        accented_final_default_p_r=accented_p_r,
-        diphthong_boundary_p=diphthong_p,
-        hiatus_exception_words=frozenset(hiatus),
-    )
+    return replace(cfg, probabilistic_monosyllables=prob,
+                   hiatus_exception_words=frozenset(hiatus), **settings)
 
 
 def _is_vowel(ch: str) -> bool:

@@ -1,10 +1,19 @@
+import json
+import os
 import pathlib
+import subprocess
+import sys
+from types import SimpleNamespace
 
+import pytest
+
+from endecascan import seedlex
 from endecascan.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
-SEED = str(pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
-           / "seed.lex")
+SRC = pathlib.Path(__file__).parents[1] / "src"
+SEED = str(SRC / "endecascan" / "data" / "seed.lex")
+CANTO = str(DATA / "inferno_i.txt")
 VERSE = "esta selva selvaggia e aspra e forte"
 
 
@@ -113,6 +122,20 @@ def test_lex_build_drafts_entries(capsys, tmp_path):
     assert out.count("avea") == 2
 
 
+def test_lex_build_rejects_out_of_range_propensity(capsys, monkeypatch,
+                                                   tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "nondet_words.tsv").write_text(
+        "avea\t0\t1\t1\t1.5\ta|vea\t0\n", "utf-8")
+    monkeypatch.setattr(seedlex, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    words = tmp_path / "words.txt"
+    words.write_text("avea\n", "utf-8")
+    code, out, err = run(capsys, "lex", "build", "--words", str(words))
+    assert code == 2 and not out
+    assert err == "endecascan: line 1: propensity '1.5' outside [0, 1]\n"
+
+
 def test_lex_build_with_custom_rules(capsys, tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("qua\n", "utf-8")
@@ -173,3 +196,48 @@ def test_bundled_amendments_match_cantica_in_any_case(capsys, tmp_path):
     syl = (tmp_path / "out" / "partial.syl.txt").read_text("utf-8")
     assert "esser grama" in syl and "essere" not in syl
     assert code == 1  # the amended verse has words the seed lexicon lacks
+
+
+def run_fresh(cwd, script):
+    """Run the command line in a new interpreter, so no module is loaded yet."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("ENDECASCAN_LEXICON", None)
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
+    script = f"""if True:
+        import json, sys
+        from endecascan import cli
+        codes = [cli.main(["scan", "Nel mezzo del cammin di nostra vita"]),
+                 cli.main(["lex", "check", {SEED!r}])]
+        print(json.dumps([codes, sorted(sys.modules)]))
+    """
+    proc = run_fresh(tmp_path, script)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "endecascan.scander" in modules
+    for name in ("corpus", "analysis", "seedlex", "wordrules"):
+        assert f"endecascan.{name}" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--in", CANTO, "--out", "out"],
+    ["query", "--word", "tra", "--in", CANTO],
+    ["stats", "--in", CANTO],
+    ["lex", "build", "--words", CANTO],
+], ids=["corpus", "query", "stats", "lex build"])
+def test_commands_from_a_fresh_process(capsys, monkeypatch, tmp_path, argv):
+    # each command imports the modules it needs itself; in this process
+    # they are already loaded, so only a new interpreter can show a
+    # missing import
+    script = ("import sys\nfrom endecascan.cli import main\n"
+              f"sys.exit(main({argv!r}))")
+    proc = run_fresh(tmp_path, script)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == 0 and out

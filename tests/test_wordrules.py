@@ -4,9 +4,10 @@ import pytest
 
 from endecascan.lexicon import Propensity
 from endecascan.seedlex import load_nondet_table
-from endecascan.wordrules import (WordRuleError, build_analyses, default_config,
-                                  init_propensities, load_rule_config,
-                                  locate_accent, split_syllables)
+from endecascan.wordrules import (RuleConfig, WordRuleError, build_analyses,
+                                  default_config, init_propensities,
+                                  load_rule_config, locate_accent,
+                                  split_syllables)
 
 HIATUS_FILE = (pathlib.Path(__file__).parents[1] / "src" / "endecascan"
                / "data" / "hiatus_words.txt")
@@ -165,3 +166,9 @@ def test_rule_config_file_round():
     assert cfg.probabilistic_monosyllables["qua"] == (0.5, 0.5)
     assert cfg.never_synalephe_monosyllables == frozenset({"be", "me"})
     assert cfg.accented_final_default_p_r == 0.2
+
+
+def test_empty_rule_file_is_the_default_rule_config():
+    # a rules file replaces the bundled hiatus list rather than extending it
+    assert load_rule_config("") == RuleConfig()
+    assert load_rule_config("") != default_config()
