@@ -1,4 +1,4 @@
-"""Research queries over scan reports.
+"""Research queries over scan records.
 
 Two families of questions: where a given word melds or refuses to meld
 with its neighbours, and which accent patterns (periodic functions) the
@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
-from .corpus import ScanReport
+from .corpus import VerseRecord
 from .lexicon import Lexicon
 from .scander import VerseScansion
 from .tokenizer import word_tokens
@@ -49,10 +50,10 @@ class AnalysisError(Exception):
     pass
 
 
-def classify_word(key: str, report: ScanReport) -> list[Occurrence]:
+def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:
     """Every junction adjacent to key in every chosen state, classified."""
     out: list[Occurrence] = []
-    for record in report.records:
+    for record in records:
         chosen = record.scansion.chosen
         if chosen is None:
             continue
@@ -113,11 +114,11 @@ def metric_units(pattern: AccentPattern) -> str:
     return "".join(f"{u}/" for u in units)
 
 
-def pattern_histogram(report: ScanReport, lex: Lexicon,
+def pattern_histogram(records: Iterable[VerseRecord], lex: Lexicon,
                       include_secondary: bool = False) -> dict[str, int]:
     """Histogram of rendered accent patterns over the chosen states."""
     counts: Counter = Counter()
-    for record in report.records:
+    for record in records:
         if record.scansion.chosen is None:
             continue
         counts[accent_pattern(record.scansion, lex, include_secondary).rendered] += 1

@@ -24,7 +24,7 @@ from pathlib import Path
 # that use them, so that `scan` and `lex check` start without them
 from .lexicon import Lexicon, LexiconError, parse_lexicon, serialize_lexicon
 from .scander import ScanConfig, ScanStatus, scan_verse
-from .tokenizer import normalize_line, tokenize
+from .tokenizer import normalize_line, tokenize, word_tokens
 
 EXIT_OK = 0
 EXIT_VERSE_FAILURES = 1
@@ -86,42 +86,31 @@ def _cmd_scan(args) -> int:
 
 def _cmd_corpus(args) -> int:
     from . import corpus
+    statuses = dict.fromkeys(ScanStatus, 0)
+    unknown: set[str] = set()
+
+    def tally(records):
+        for record in records:
+            statuses[record.scansion.status] += 1
+            if record.scansion.status is ScanStatus.FAIL_UNKNOWN_WORD:
+                unknown.add(record.scansion.unknown_key)
+            yield record
+
     try:
-        lex = _load_lexicon(args.lexicon)
-        text = Path(args.infile).read_text("utf-8")
-        doc = corpus.parse_corpus(text)
-        if args.amendments:
-            amendments = corpus.parse_amendments(Path(args.amendments).read_text("utf-8"))
-        else:
-            amendments = corpus.parse_amendments(
-                resources.files("endecascan").joinpath("data", "amendments.tsv")
-                .read_text("utf-8"))
-        try:
-            doc = corpus.apply_amendments(doc, amendments)
-        except corpus.AmendmentMismatch as exc:
-            if args.amendments:
-                return _fail(str(exc))
-            # bundled amendments target the full Comedy; partial corpora
-            # simply do not contain those verses
-            present = {(cantica.lower(), canto, line)
-                       for (cantica, canto, line), _ in doc.iter_verses()}
-            applicable = [a for a in amendments
-                          if (a.cantica.lower(), a.canto, a.line) in present]
-            doc = corpus.apply_amendments(doc, applicable)
-        report = corpus.scan_document(doc, lex, ScanConfig())
-        paths = corpus.write_outputs(report, args.out, Path(args.infile).stem)
+        records, _ = _scan_records(args)
+        paths = corpus.write_outputs(tally(records), args.out, Path(args.infile).stem)
     except (OSError, LexiconError, corpus.CorpusFormatError,
             corpus.AmendmentMismatch) as exc:
         return _fail(str(exc))
-    n = len(report.records)
-    print(f"scanned {n} verses: {len(report.ok)} ok, "
-          f"{len(report.anomalies)} anomalies, {len(report.failures)} failures")
+    n = sum(statuses.values())
+    ok, anomalies = statuses[ScanStatus.OK], statuses[ScanStatus.WARN_NO_CAESURA]
+    print(f"scanned {n} verses: {ok} ok, "
+          f"{anomalies} anomalies, {n - ok - anomalies} failures")
     for kind, path in paths.items():
         print(f"  {kind}: {path}")
-    if report.unknown_words:
-        words = ", ".join(sorted(report.unknown_words))
-        print(f"unknown words: {words}", file=sys.stderr)
-    return EXIT_VERSE_FAILURES if report.failures else EXIT_OK
+    if unknown:
+        print(f"unknown words: {', '.join(sorted(unknown))}", file=sys.stderr)
+    return EXIT_VERSE_FAILURES if n > ok + anomalies else EXIT_OK
 
 
 def _cmd_lex_build(args) -> int:
@@ -129,8 +118,10 @@ def _cmd_lex_build(args) -> int:
     try:
         cfg = (wordrules.load_rule_config(Path(args.rules).read_text("utf-8"))
                if args.rules else wordrules.default_config())
-        words = [w for w in Path(args.words).read_text("utf-8").split()
-                 if not w.startswith("#")]
+        # keyed as the tokenizer keys them: no punctuation, no capitals
+        words = [token.key for w in Path(args.words).read_text("utf-8").split()
+                 if not w.startswith("#")
+                 for token in word_tokens(tokenize(normalize_line(w)))]
         lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
     except (OSError, LexiconError, wordrules.WordRuleError) as exc:
         return _fail(str(exc))
@@ -151,20 +142,29 @@ def _cmd_lex_check(args) -> int:
     return EXIT_OK
 
 
-def _scan_report(args):
+def _scan_records(args):
+    """Records of args.infile after its amendments, and the lexicon: a user
+    --amendments file must match exactly, the bundled one where it can."""
     from . import corpus
     lex = _load_lexicon(args.lexicon)
     doc = corpus.parse_corpus(Path(args.infile).read_text("utf-8"))
-    return corpus.scan_document(doc, lex, ScanConfig()), lex
+    if args.amendments:
+        amendments = Path(args.amendments).read_text("utf-8")
+    else:
+        amendments = resources.files("endecascan").joinpath(
+            "data", "amendments.tsv").read_text("utf-8")
+    doc = corpus.apply_amendments(doc, corpus.parse_amendments(amendments),
+                                  strict=bool(args.amendments))
+    return corpus.scan_records(doc, lex, ScanConfig()), lex
 
 
 def _cmd_query(args) -> int:
     from . import analysis, corpus
     try:
-        report, _ = _scan_report(args)
+        records, _ = _scan_records(args)
     except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
         return _fail(str(exc))
-    occurrences = analysis.classify_word(args.word.lower(), report)
+    occurrences = analysis.classify_word(args.word.lower(), records)
     sys.stdout.write(analysis.occurrences_tsv(occurrences))
     return EXIT_OK
 
@@ -172,10 +172,10 @@ def _cmd_query(args) -> int:
 def _cmd_stats(args) -> int:
     from . import analysis, corpus
     try:
-        report, lex = _scan_report(args)
+        records, lex = _scan_records(args)
     except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
         return _fail(str(exc))
-    histogram = analysis.pattern_histogram(report, lex,
+    histogram = analysis.pattern_histogram(records, lex,
                                            include_secondary=args.secondary)
     sys.stdout.write(analysis.histogram_tsv(histogram))
     return EXIT_OK
@@ -216,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lexicon")
-    p.set_defaults(func=_cmd_query)
+    p.set_defaults(func=_cmd_query, amendments=None)
 
     p = sub.add_parser("stats", help="accent-pattern histogram")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lexicon")
     p.add_argument("--secondary", action="store_true")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, amendments=None)
     return parser
 
 

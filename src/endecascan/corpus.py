@@ -8,12 +8,15 @@ tercets.  Anything before the first header is ignored.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .lexicon import Lexicon
-from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
+from .scander import (BadAnalysisError, ScanConfig, ScanStatus, VerseScansion,
+                      scan_verse)
 from .tokenizer import Token, normalize_line, tokenize
 
 _HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
@@ -110,6 +113,9 @@ class VerseRecord:
 class ScanReport:
     records: tuple[VerseRecord, ...]
 
+    def __iter__(self) -> Iterator[VerseRecord]:
+        return iter(self.records)
+
     @property
     def anomalies(self) -> list[tuple[str, int, int]]:
         return [r.location for r in self.records
@@ -168,9 +174,11 @@ def parse_corpus(text: str) -> CorpusDocument:
     return CorpusDocument(tuple((name, tuple(cantiche[name])) for name in order))
 
 
-def apply_amendments(doc: CorpusDocument,
-                     amendments: list[Amendment]) -> CorpusDocument:
-    """Apply editorial amendments, each guarded by an exact-match check."""
+def apply_amendments(doc: CorpusDocument, amendments: list[Amendment],
+                     strict: bool = True) -> CorpusDocument:
+    """Apply editorial amendments, each guarded by an exact-match check.
+    strict=False skips an amendment whose verse is absent, and one whose
+    original text is absent from its verse with a note on stderr."""
     index = {}
     for a in amendments:
         index.setdefault((a.cantica.lower(), a.canto, a.line), []).append(a)
@@ -182,14 +190,20 @@ def apply_amendments(doc: CorpusDocument,
             for verse in canto.verses:
                 text = verse.text
                 for a in index.pop((cantica.lower(), canto.number, verse.line), []):
-                    if a.original not in text:
+                    if a.original in text:
+                        text = text.replace(a.original, a.replacement, 1)
+                    elif strict:
                         raise AmendmentMismatch(a, text)
-                    text = text.replace(a.original, a.replacement, 1)
-                new_verses.append(Verse(verse.line, text))
+                    else:
+                        print(f"endecascan: skipped {AmendmentMismatch(a, text)}",
+                              file=sys.stderr)
+                new_verses.append(verse if text == verse.text
+                                  else Verse(verse.line, text))
             new_canti.append(Canto(canto.number, tuple(new_verses)))
         new_cantiche.append((cantica, tuple(new_canti)))
-    for leftovers in index.values():
-        raise AmendmentMismatch(leftovers[0], None)
+    if strict:
+        for leftovers in index.values():
+            raise AmendmentMismatch(leftovers[0], None)
     return CorpusDocument(tuple(new_cantiche))
 
 
@@ -210,17 +224,25 @@ def parse_amendments(text: str) -> list[Amendment]:
     return out
 
 
-def scan_document(doc: CorpusDocument, lex: Lexicon,
-                  cfg: ScanConfig | None = None) -> ScanReport:
-    """Scan every verse of the document; failures are recorded, not raised."""
+def scan_records(doc: CorpusDocument, lex: Lexicon,
+                 cfg: ScanConfig | None = None) -> Iterator[VerseRecord]:
+    """Scan the verses one at a time; failures, a bad analysis among
+    them, are recorded in each record's status, not raised."""
     cfg = cfg or ScanConfig()
-    records = []
     for location, text in doc.iter_verses():
         normalized = normalize_line(text)
         tokens = tuple(tokenize(normalized))
-        scansion = scan_verse(list(tokens), lex, cfg)
-        records.append(VerseRecord(location, normalized, tokens, scansion))
-    return ScanReport(tuple(records))
+        try:
+            scansion = scan_verse(list(tokens), lex, cfg)
+        except BadAnalysisError:
+            scansion = VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS)
+        yield VerseRecord(location, normalized, tokens, scansion)
+
+
+def scan_document(doc: CorpusDocument, lex: Lexicon,
+                  cfg: ScanConfig | None = None) -> ScanReport:
+    """Every record of scan_records, kept for random access."""
+    return ScanReport(tuple(scan_records(doc, lex, cfg)))
 
 
 FAILURE_MARKER = "??"
@@ -238,47 +260,44 @@ def render_scansion(scansion: VerseScansion, tokens: list[Token]) -> str:
     return f"{FAILURE_MARKER} {reconstruct(list(tokens))}"
 
 
-def write_outputs(report: ScanReport, sink: str | Path,
+def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
                   name: str = "corpus") -> dict[str, Path]:
-    """Write the syllabified text, the per-verse TSV and the anomaly list."""
+    """Write the syllabified text, the per-verse TSV and the anomaly list,
+    one record at a time as the records arrive."""
     sink = Path(sink)
     sink.mkdir(parents=True, exist_ok=True)
     syl_path = sink / f"{name}.syl.txt"
     tsv_path = sink / f"{name}.report.tsv"
     anom_path = sink / f"{name}.anomalies.txt"
-
-    syl_lines = []
-    previous = None
-    for record in report.records:
-        cantica, canto, line = record.location
-        if previous != (cantica, canto):
-            if previous is not None:
-                syl_lines.append("")
-            syl_lines.append(f"{cantica}: Canto {int_to_roman(canto)}")
-            syl_lines.append("")
-            previous = (cantica, canto)
-        syl_lines.append(render_scansion(record.scansion, list(record.tokens)))
-        if line % 3 == 0:
-            syl_lines.append("")
-    syl_path.write_text("\n".join(syl_lines).rstrip("\n") + "\n", "utf-8")
-
-    rows = ["cantica\tcanto\tline\tcount\tlikelihood\ta4\ta6\ta10\tstatus\tadmissible"]
-    for record in report.records:
-        cantica, canto, line = record.location
-        chosen = record.scansion.chosen
-        rows.append("\t".join([
-            cantica, str(canto), str(line),
-            str(chosen.count) if chosen else "-",
-            repr(chosen.likelihood) if chosen else "-",
-            *(("1" if getattr(chosen, f) else "0") if chosen else "-"
-              for f in ("a4", "a6", "a10")),
-            record.scansion.status.value,
-            str(len(record.scansion.admissible)),
-        ]))
-    tsv_path.write_text("\n".join(rows) + "\n", "utf-8")
-
-    by_location = {r.location: r for r in report.records}
-    anom_lines = [f"{c} {int_to_roman(n)},{l}\t{by_location[(c, n, l)].text}"
-                  for c, n, l in report.anomalies]
-    anom_path.write_text("\n".join(anom_lines) + ("\n" if anom_lines else ""), "utf-8")
+    with open(syl_path, "w", encoding="utf-8") as syl, \
+            open(tsv_path, "w", encoding="utf-8") as tsv, \
+            open(anom_path, "w", encoding="utf-8") as anom:
+        tsv.write("cantica\tcanto\tline\tcount\tlikelihood\ta4\ta6\ta10\t"
+                  "status\tadmissible\n")
+        previous = None
+        gap = ""  # blank lines due before the next line, so none ends the file
+        for record in records:
+            cantica, canto, line = record.location
+            if previous != (cantica, canto):
+                if previous is not None:
+                    gap += "\n"
+                syl.write(f"{gap}{cantica}: Canto {int_to_roman(canto)}\n")
+                gap = "\n"
+                previous = (cantica, canto)
+            syl.write(f"{gap}{render_scansion(record.scansion, list(record.tokens))}\n")
+            gap = "\n" if line % 3 == 0 else ""
+            chosen = record.scansion.chosen
+            tsv.write("\t".join([
+                cantica, str(canto), str(line),
+                str(chosen.count) if chosen else "-",
+                repr(chosen.likelihood) if chosen else "-",
+                *(("1" if getattr(chosen, f) else "0") if chosen else "-"
+                  for f in ("a4", "a6", "a10")),
+                record.scansion.status.value,
+                str(len(record.scansion.admissible)),
+            ]) + "\n")
+            if record.scansion.status is ScanStatus.WARN_NO_CAESURA:
+                anom.write(f"{cantica} {int_to_roman(canto)},{line}\t{record.text}\n")
+        if previous is None:
+            syl.write("\n")
     return {"syllabified": syl_path, "report": tsv_path, "anomalies": anom_path}

@@ -230,6 +230,7 @@ class ScanStatus(Enum):
     WARN_NO_CAESURA = "warn-no-caesura"
     FAIL_NO_ACCENT10 = "fail-no-accent10"
     FAIL_UNKNOWN_WORD = "fail-unknown-word"
+    FAIL_BAD_ANALYSIS = "fail-bad-analysis"
 
     @property
     def is_admissible(self) -> bool:
@@ -263,6 +264,10 @@ def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
     return p_r.value * p_l.value
 
 
+class BadAnalysisError(ValueError):
+    """An analysis whose syllables do not spell the word it scans."""
+
+
 def split_surface(surface: str, analysis: WordAnalysis) -> list[str]:
     """Slice the surface form with the analysis' syllable lengths."""
     out = []
@@ -272,7 +277,7 @@ def split_surface(surface: str, analysis: WordAnalysis) -> list[str]:
         out.append(surface[pos:end])
         pos = end
     if pos != len(surface):
-        raise ValueError(
+        raise BadAnalysisError(
             f"analysis {'|'.join(analysis.syllables)!r} does not cover "
             f"surface {surface!r}")
     return out

@@ -122,6 +122,19 @@ def test_lex_build_drafts_entries(capsys, tmp_path):
     assert out.count("avea") == 2
 
 
+def test_lex_build_keys_words_as_the_tokenizer_does(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("oscura, Inferno:\n#oscura,\n", "utf-8")
+    code, out, _ = run(capsys, "lex", "build", "--words", str(words))
+    assert code == 0
+    entries = {line.split("\t")[0]: line.split("\t")[1:]
+               for line in out.splitlines()
+               if "\t" in line and not line.startswith("#")}
+    assert sorted(entries) == ["inferno", "oscura"]
+    weight, p_l, p_r, syllables, accents = entries["oscura"]
+    assert (p_r, syllables, accents) == ("1.0", "o|scu|ra", "-1")
+
+
 def test_lex_build_rejects_out_of_range_propensity(capsys, monkeypatch,
                                                    tmp_path):
     (tmp_path / "data").mkdir()
@@ -184,9 +197,8 @@ def test_stats_subcommand(capsys):
 
 
 def test_bundled_amendments_match_cantica_in_any_case(capsys, tmp_path):
-    # only Inferno XX,81 of the bundled amendments is in this corpus, so
-    # the partial-corpus path applies it; the cantica is matched ignoring
-    # case, as the strict path matches it
+    # only Inferno XX,81 of the bundled amendments is in this corpus, and
+    # it applies although the header spells the cantica in capitals
     verses = ["Nel mezzo del cammin di nostra vita"] * 80
     verses.append("ché bella son tutte essere grama")
     src = tmp_path / "partial.txt"
@@ -196,6 +208,67 @@ def test_bundled_amendments_match_cantica_in_any_case(capsys, tmp_path):
     syl = (tmp_path / "out" / "partial.syl.txt").read_text("utf-8")
     assert "esser grama" in syl and "essere" not in syl
     assert code == 1  # the amended verse has words the seed lexicon lacks
+
+
+def test_bundled_amendments_skip_drifted_verses(capsys, tmp_path):
+    # Inferno XX,81 exists here but does not hold the bundled original:
+    # every command notes the skip and scans the verse as it is
+    verses = ["Nel mezzo del cammin di nostra vita"] * 81
+    src = tmp_path / "drifted.txt"
+    src.write_text("Inferno: Canto XX\n\n" + "\n".join(verses) + "\n", "utf-8")
+    note = ("endecascan: skipped amendment at Inferno 20,81: expected "
+            "'essere grama' in 'Nel mezzo del cammin di nostra vita'\n")
+    for argv in (["corpus", "--out", str(tmp_path / "out")],
+                 ["query", "--word", "vita"], ["stats"]):
+        code, out, err = run(capsys, *argv, "--lexicon", SEED, "--in", str(src))
+        assert (code, err) == (0, note), argv
+        assert out
+
+
+def test_commands_agree_on_an_amended_verse(capsys, tmp_path):
+    verses = ["Nel mezzo del cammin di nostra vita"] * 80
+    verses.append("e suol di state talor essere grama.")
+    src = tmp_path / "canto.txt"
+    src.write_text("Inferno: Canto XX\n\n" + "\n".join(verses) + "\n", "utf-8")
+    code, out, _ = run(capsys, "corpus", "--lexicon", SEED, "--in", str(src),
+                       "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "scanned 81 verses: 81 ok" in out
+    syl = (tmp_path / "out" / "canto.syl.txt").read_text("utf-8").splitlines()
+    chunks = syl[-1].split(" ")
+    assert "".join(chunks).replace("|", "") == "esuoldistatetaloressergrama."
+    # a word melds with the previous one when its chunk opens without a bar
+    melded = [not chunk.startswith("|") for chunk in chunks]
+    i = 5  # esser
+    want = [f"Inferno\t20\t81\tesser\tleft\t"
+            f"{'synalephe' if melded[i] else 'dialephe'}\ttalor",
+            f"Inferno\t20\t81\tesser\tright\t"
+            f"{'synalephe' if melded[i + 1] else 'dialephe'}\tgrama"]
+    code, out, _ = run(capsys, "query", "--lexicon", SEED, "--word", "esser",
+                       "--in", str(src))
+    assert (code, out.splitlines()[1:]) == (0, want)
+    code, out, _ = run(capsys, "stats", "--lexicon", SEED, "--in", str(src))
+    assert code == 0
+    assert sum(int(line.split("\t")[1]) for line in out.splitlines()[1:]) == 81
+
+
+def test_corpus_contains_a_bad_analysis_to_its_verse(capsys, monkeypatch,
+                                                     tmp_path):
+    from endecascan import cli
+    from endecascan.lexicon import Propensity, WordAnalysis
+    lex = cli.parse_lexicon(pathlib.Path(SEED).read_text("utf-8"))
+    bad = lex.with_override("selva", [WordAnalysis(
+        ("sel", "v"), (-1,), Propensity.prob(0), Propensity.prob(1))])
+    monkeypatch.setattr(cli, "load_default_lexicon", lambda: bad)
+    code, out, _ = run(capsys, "corpus", "--in", CANTO, "--out", str(tmp_path))
+    assert code == 1
+    # verses 2 and 5 hold "selva"
+    assert "scanned 136 verses: 134 ok, 0 anomalies, 2 failures" in out
+    rows = (tmp_path / "inferno_i.report.tsv").read_text("utf-8").splitlines()
+    assert [row.split("\t")[8] for row in rows[1:6]] == [
+        "ok", "fail-bad-analysis", "ok", "ok", "fail-bad-analysis"]
+    syl = (tmp_path / "inferno_i.syl.txt").read_text("utf-8")
+    assert "\n?? mi ritrovai per una selva oscura,\n" in syl
 
 
 def run_fresh(cwd, script):

@@ -1,11 +1,14 @@
 import pathlib
+import tracemalloc
 
 import pytest
 
+from endecascan.analysis import classify_word, pattern_histogram
+from endecascan.cli import main
 from endecascan.corpus import (Amendment, AmendmentMismatch, CorpusFormatError,
-                               apply_amendments, parse_amendments, parse_corpus,
-                               render_scansion, roman_to_int, scan_document,
-                               write_outputs)
+                               apply_amendments, int_to_roman, parse_amendments,
+                               parse_corpus, render_scansion, roman_to_int,
+                               scan_document, scan_records, write_outputs)
 from endecascan.scander import ScanConfig, scan_verse
 from endecascan.tokenizer import normalize_line, tokenize
 
@@ -93,6 +96,23 @@ def test_amendments_guard_against_drift():
         apply_amendments(doc, [Amendment("Inferno", 99, 3, "essere", "esser")])
 
 
+def test_bundled_amendments_skip_what_they_cannot_apply(capsys):
+    doc = parse_corpus(SAMPLE)
+    elsewhere = [Amendment("Inferno", 20, 2, "suol", "x"),
+                 Amendment("Paradiso", 1, 1, "suol", "x")]
+    assert apply_amendments(doc, elsewhere, strict=False) == doc
+    assert capsys.readouterr().err == ""
+    drifted = Amendment("Inferno", 20, 1, "non presente", "x")
+    amended = apply_amendments(doc, [drifted] + shipped_amendments(), strict=False)
+    assert [text for _, text in amended.iter_verses()][0] == \
+        "e suol di state talor esser grama."
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["endecascan: skipped amendment at Inferno 20,1: expected "
+                   "'non presente' in 'e suol di state talor essere grama.'"]
+    with pytest.raises(AmendmentMismatch):
+        apply_amendments(doc, [drifted])
+
+
 def test_scan_document_canto(seed_lexicon, canto_document):
     report = scan_document(canto_document, seed_lexicon, ScanConfig())
     assert len(report.records) == 136
@@ -169,6 +189,58 @@ def test_write_outputs(tmp_path, seed_lexicon, canto_document):
     syl = [l for l in paths["syllabified"].read_text("utf-8").splitlines()
            if l.startswith(("|", "«", "??"))]
     assert len(syl) == 136
+
+
+@pytest.mark.parametrize("name", ["inferno_i", "anomalies_fixture"])
+def test_streamed_records_give_the_outputs_of_a_kept_report(
+        tmp_path, seed_lexicon, canto_golden, name):
+    doc = parse_corpus((DATA / f"{name}.txt").read_text("utf-8"))
+    report = scan_document(doc, seed_lexicon, ScanConfig())
+    kept = write_outputs(report, tmp_path / "kept", name)
+    streamed = write_outputs(scan_records(doc, seed_lexicon, ScanConfig()),
+                             tmp_path / "streamed", name)
+    for kind in ("syllabified", "report", "anomalies"):
+        assert kept[kind].read_bytes() == streamed[kind].read_bytes()
+    for key in ("tra", "selva", "che", "e"):
+        assert classify_word(key, report) == \
+            classify_word(key, scan_records(doc, seed_lexicon, ScanConfig()))
+    for secondary in (False, True):
+        assert pattern_histogram(report, seed_lexicon, secondary) == \
+            pattern_histogram(scan_records(doc, seed_lexicon, ScanConfig()),
+                              seed_lexicon, secondary)
+    if name == "inferno_i":
+        syl = streamed["syllabified"].read_text("utf-8").splitlines()
+        assert [line for line in syl[2:] if line] == canto_golden
+
+
+def test_batch_memory_does_not_grow_with_the_corpus(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    body = (DATA / "inferno_i.txt").read_text("utf-8").split("\n", 1)[1]
+
+    def peaks(copies):
+        src = tmp_path / f"copies{copies}.txt"
+        src.write_text("\n".join(f"Inferno: Canto {int_to_roman(n)}\n{body}"
+                                 for n in range(1, copies + 1)), "utf-8")
+        out = []
+        for argv in (["corpus", "--in", src, "--out", tmp_path / str(copies)],
+                     ["query", "--word", "selva", "--in", src],
+                     ["stats", "--in", src]):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert main([str(arg) for arg in argv]) == 0
+            out.append(tracemalloc.get_traced_memory()[1] - start)
+            capsys.readouterr()
+        return out
+
+    tracemalloc.start()
+    try:
+        one, ten = peaks(1), peaks(10)
+    finally:
+        tracemalloc.stop()
+    added = 9 * 136
+    for command, small, large in zip(("corpus", "query", "stats"), one, ten):
+        assert (large - small) / added < 1024, (command, small, large)
 
 
 def test_write_outputs_empty_report(tmp_path, seed_lexicon):
