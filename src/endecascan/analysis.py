@@ -57,7 +57,7 @@ def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:
         chosen = record.scansion.chosen
         if chosen is None:
             continue
-        words = word_tokens(list(record.tokens))
+        words = word_tokens(record.tokens)
         for i, token in enumerate(words):
             if token.key != key:
                 continue

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from .lexicon import Lexicon
 from .scander import (BadAnalysisError, ScanConfig, ScanStatus, VerseScansion,
                       scan_verse)
-from .tokenizer import Token, normalize_line, tokenize
+from .tokenizer import Token, normalize_line, reconstruct, tokenize
 
 _HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
 
@@ -233,7 +233,7 @@ def scan_records(doc: CorpusDocument, lex: Lexicon,
         normalized = normalize_line(text)
         tokens = tuple(tokenize(normalized))
         try:
-            scansion = scan_verse(list(tokens), lex, cfg)
+            scansion = scan_verse(tokens, lex, cfg)
         except BadAnalysisError:
             scansion = VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS)
         yield VerseRecord(location, normalized, tokens, scansion)
@@ -248,7 +248,7 @@ def scan_document(doc: CorpusDocument, lex: Lexicon,
 FAILURE_MARKER = "??"
 
 
-def render_scansion(scansion: VerseScansion, tokens: list[Token]) -> str:
+def render_scansion(scansion: VerseScansion, tokens: Iterable[Token]) -> str:
     """Rendered syllabification of the chosen state.
 
     When no state was chosen the original text comes back prefixed with
@@ -256,8 +256,7 @@ def render_scansion(scansion: VerseScansion, tokens: list[Token]) -> str:
     """
     if scansion.chosen is not None:
         return scansion.chosen.text
-    from .tokenizer import reconstruct
-    return f"{FAILURE_MARKER} {reconstruct(list(tokens))}"
+    return f"{FAILURE_MARKER} {reconstruct(tokens)}"
 
 
 def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
@@ -284,7 +283,7 @@ def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
                 syl.write(f"{gap}{cantica}: Canto {int_to_roman(canto)}\n")
                 gap = "\n"
                 previous = (cantica, canto)
-            syl.write(f"{gap}{render_scansion(record.scansion, list(record.tokens))}\n")
+            syl.write(f"{gap}{render_scansion(record.scansion, record.tokens)}\n")
             gap = "\n" if line % 3 == 0 else ""
             chosen = record.scansion.chosen
             tsv.write("\t".join([

@@ -10,10 +10,11 @@ probability), the other keeps them apart.
 States form a back-pointer trellis: each one points to the state it
 extends and to the word step that extended it, a record built once per
 (word, analysis) and shared by every state that reads it.  The rendered
-syllabification, the per-word meld flags and the accent marks are
-rebuilt from that chain only when read; the final states of a verse
-are collapsed into flat records, so they keep no part of the search
-alive.
+syllabification, the per-word meld flags and the accent marks are read
+off that chain only when asked for.  A state's text is its parent's
+text plus its step's piece, kept once built, so the readings of a verse
+share the text of their common prefix and each node's text is built at
+most once.
 
 Metric constraints prune the candidate space: a stress on the tenth
 syllable is mandatory, a stress on the fourth or sixth is preferred,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .lexicon import (APOSTROPHE_VALUE, PROB_ZERO, Lexicon, Propensity,
                       UnknownWord, WordAnalysis)
@@ -69,7 +71,7 @@ class _Step:
                  "eligible", "index", "melded", "apart", "opening")
 
     def __init__(self, token: Token, analysis: WordAnalysis, index: int,
-                 eligible: bool, prev_trail: str):
+                 eligible: bool):
         self.n = analysis.n
         self.weight = analysis.weight
         self.p_l = analysis.p_l
@@ -78,16 +80,17 @@ class _Step:
         self.primary = analysis.accents[0]
         self.eligible = eligible
         self.index = index
-        # the word's rendered text after a melded junction, after a
-        # separate one, and at the very start of the text
-        joint = prev_trail + token.lead
+        # the word's rendered text with its own punctuation, after a
+        # melded junction, after a separate one and at the very start
+        lead = token.lead
         if token.word == analysis.form:
             body = analysis.rendered
         else:  # e.g. a capitalised word: cut its own letters
             body = "|".join(split_surface(token.word, analysis))
-        self.melded = joint + " " + body
-        self.apart = joint + " |" + body
-        self.opening = self.apart if joint else "|" + body
+        body += token.trail
+        self.melded = lead + " " + body
+        self.apart = lead + " |" + body
+        self.opening = self.apart if lead else "|" + body
 
 
 def _append_word(text: str, step: _Step, melded: bool) -> str:
@@ -96,29 +99,28 @@ def _append_word(text: str, step: _Step, melded: bool) -> str:
     return text + (step.apart if text else step.opening)
 
 
-# allocates a state without running __init__: advance and _collapse set
-# every slot that the kind of state they build reads
+# allocates a state without running __init__: advance sets every slot
+# that a chain node reads
 _new_state = object.__new__
-_STRIDE = 5  # entries per word in a flat state's `_words`
 
 
 class ScanState:
     """One partial (or final) reading of a verse.
 
     The slots hold what the search and the ranking read.  A state built
-    by `advance` is a chain node: it points to the state it extends
-    (`_parent`), to the word step that extended it and to whether that
-    word melded.  A state built by the constructor, and every final
-    state of `scan_verse`, is flat: `_parent` is None and it holds its
-    text, meld flags and accent data itself.  `text`, `melds` and
-    `accents` read the same either way.  States are values; never
-    assign to one.
+    by the constructor is a root: it holds its text and any meld flags
+    and accents given outright.  A state built by `advance` is a chain
+    node: it points to the state it extends (`_parent`), to the word
+    step that extended it and to whether that word melded.  `text`,
+    `melds` and `accents` read the same either way.  States are values;
+    never assign to one.
     """
 
     __slots__ = ("likelihood", "count", "pending_p_r", "a4", "a6", "a10",
                  "accent10_word_index", "order",
                  "_parent", "_step", "_melded",  # chain nodes
-                 "_text", "_prefix", "_words")  # flat states
+                 "_text",  # None on a chain node until its text is read
+                 "_prefix")  # roots
 
     def __init__(self, text: str = "", likelihood: float = 1.0,
                  count: int = 0, pending_p_r: Propensity = PROB_ZERO,
@@ -137,65 +139,52 @@ class ScanState:
         self._parent = None
         self._text = text
         # melds (per word: melded with the previous one) and accents given
-        # outright; words added later are in `_words`
+        # outright; the chain nodes after this root add their own
         self._prefix = (tuple(melds), tuple(accents))
-        # _STRIDE entries per word: the count after it, whether it melded,
-        # its accent offsets, its stress eligibility and its index
-        self._words = ()
 
-    def _collapse(self, tail: str = "") -> ScanState:
-        """A flat copy with `tail` appended to the text and no chain."""
+    def _chain(self) -> tuple[ScanState, list[ScanState]]:
+        """The root and the chain nodes from it to this state, in order."""
         links = []
         node = self
         while node._parent is not None:
             links.append(node)
             node = node._parent
         links.reverse()
-        text = node._text
-        words = list(node._words)
-        for link in links:
-            step = link._step
-            text = _append_word(text, step, link._melded)
-            words += (link.count, link._melded, step.offsets, step.eligible,
-                      step.index)
-        flat = _new_state(ScanState)
-        flat.likelihood = self.likelihood
-        flat.count = self.count
-        flat.pending_p_r = self.pending_p_r
-        flat.a4 = self.a4
-        flat.a6 = self.a6
-        flat.a10 = self.a10
-        flat.accent10_word_index = self.accent10_word_index
-        flat.order = self.order
-        flat._parent = None
-        flat._text = text + tail
-        flat._prefix = node._prefix
-        flat._words = tuple(words)
-        return flat
-
-    def _flat(self) -> ScanState:
-        return self if self._parent is None else self._collapse()
+        return node, links
 
     @property
     def text(self) -> str:
-        return self._flat()._text
+        text = self._text
+        if text is None:
+            # fill in the missing texts down from the nearest node that
+            # has one, so a prefix shared by many states is built once
+            unbuilt = []
+            node = self
+            while text is None:
+                unbuilt.append(node)
+                node = node._parent
+                text = node._text
+            for node in reversed(unbuilt):
+                text = _append_word(text, node._step, node._melded)
+                node._text = text
+        return text
 
     @property
     def melds(self) -> tuple[bool, ...]:
-        flat = self._flat()
-        return flat._prefix[0] + flat._words[1::_STRIDE]
+        root, links = self._chain()
+        return root._prefix[0] + tuple(link._melded for link in links)
 
     @property
     def accents(self) -> tuple[AccentMark, ...]:
-        flat = self._flat()
-        words = flat._words
-        # a word's accents land at offsets from the count after that word
-        return flat._prefix[1] + tuple(
-            AccentMark(count + o, o == offsets[0], eligible, index)
-            for count, offsets, eligible, index in zip(
-                words[0::_STRIDE], words[2::_STRIDE], words[3::_STRIDE],
-                words[4::_STRIDE])
-            for o in offsets)
+        root, links = self._chain()
+        marks = list(root._prefix[1])
+        for link in links:
+            step = link._step
+            # a word's accents land at offsets from the count after it
+            marks += (AccentMark(link.count + o, o == step.primary,
+                                 step.eligible, step.index)
+                      for o in step.offsets)
+        return tuple(marks)
 
     @property
     def syllables(self) -> list[str]:
@@ -289,8 +278,7 @@ _APART_ONLY = ((False, 1.0),)
 
 def advance(states: list[ScanState], token: Token,
             analyses: tuple[WordAnalysis, ...], token_index: int,
-            stress_eligible: bool, cfg: ScanConfig,
-            prev_trail: str = "") -> list[ScanState]:
+            stress_eligible: bool, cfg: ScanConfig) -> list[ScanState]:
     """Extend every state with every analysis of the next word.
 
     Non-categorical meld probabilities fork each state into a melded
@@ -298,7 +286,7 @@ def advance(states: list[ScanState], token: Token,
     mass is conserved.  Accent bookkeeping and incremental pruning
     happen here.
     """
-    steps = [_Step(token, analysis, token_index, stress_eligible, prev_trail)
+    steps = [_Step(token, analysis, token_index, stress_eligible)
              for analysis in analyses]
     pruning = cfg.incremental_pruning
     floor = cfg.likelihood_floor
@@ -354,6 +342,7 @@ def advance(states: list[ScanState], token: Token,
                 node._parent = state
                 node._step = step
                 node._melded = melded
+                node._text = None
                 successors.append(node)
                 order += 1
     return successors
@@ -401,7 +390,7 @@ def _rank(states: list[ScanState], eps: float) -> list[ScanState]:
     return ranked
 
 
-def scan_verse(tokens: list[Token], lex: Lexicon,
+def scan_verse(tokens: Iterable[Token], lex: Lexicon,
                cfg: ScanConfig | None = None) -> VerseScansion:
     """Scan one tokenized verse against a lexicon."""
     cfg = cfg or ScanConfig()
@@ -409,7 +398,6 @@ def scan_verse(tokens: list[Token], lex: Lexicon,
     if not words:
         return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
     states = [ScanState()]
-    prev_trail = ""
     for index, token in enumerate(words):
         try:
             analyses = lex.lookup(token.key)
@@ -417,9 +405,7 @@ def scan_verse(tokens: list[Token], lex: Lexicon,
             return VerseScansion(None, (), ScanStatus.FAIL_UNKNOWN_WORD, (),
                                  unknown_key=token.key)
         states = advance(states, token, analyses, index,
-                         lex.is_stress_eligible(token.key), cfg, prev_trail)
-        prev_trail = token.trail
+                         lex.is_stress_eligible(token.key), cfg)
         if not states:
             return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
-    states = [s._collapse(prev_trail) for s in states]
     return finalize(states, cfg, len(words) - 1)

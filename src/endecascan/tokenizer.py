@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 APOSTROPHE = "’"
 
@@ -194,11 +195,11 @@ def tokenize(line: str) -> list[Token]:
     return tokens
 
 
-def word_tokens(tokens: list[Token]) -> list[Token]:
+def word_tokens(tokens: Iterable[Token]) -> list[Token]:
     return [t for t in tokens if t.kind is TokenKind.WORD]
 
 
-def reconstruct(tokens: list[Token]) -> str:
+def reconstruct(tokens: Iterable[Token]) -> str:
     """Rebuild the normalized line from the token stream."""
     out = []
     for tok in tokens:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from endecascan import scander
 from endecascan.lexicon import (PROB_ONE, PROB_ZERO, Propensity, WordAnalysis,
                                 build_lexicon)
 from endecascan.scander import (AccentMark, ScanConfig, ScanState, ScanStatus,
@@ -160,6 +161,58 @@ def test_final_state_fields_agree_with_text(seed_lexicon, cfg, verse):
             eligible = seed_lexicon.is_stress_eligible(word.key)
             assert all(m.eligible == eligible for m in marks)
         assert count == state.count
+
+
+def test_final_states_build_each_shared_prefix_once(seed_lexicon, monkeypatch):
+    calls = 0
+    append_word = scander._append_word
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return append_word(*args)
+
+    monkeypatch.setattr(scander, "_append_word", counting)
+    result = scan("e a e a e a e a e a e a", seed_lexicon)
+    assert len(result.final_states) == 2048
+    for state in result.final_states:
+        assert state.text.count(" ") == 11
+    nodes = set()  # by identity: hashing a state reads its text
+    for state in result.final_states:
+        node = state
+        while node._parent is not None and id(node) not in nodes:
+            nodes.add(id(node))
+            node = node._parent
+    assert calls <= len(nodes)
+
+
+@pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
+                         ids=["default", "permissive"])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verse=verse_st)
+def test_state_reads_do_not_depend_on_reading_order(seed_lexicon, cfg, verse):
+    tokens = tokenize(normalize_line(verse))
+
+    def read(state):
+        return state.text, state.melds, state.accents
+
+    first = scan_verse(tokens, seed_lexicon, cfg)
+    second = scan_verse(tokens, seed_lexicon, cfg)
+    chosen_text = second.chosen.text if second.chosen else None
+    forward = [read(s) for s in first.final_states]
+    backward = [read(s) for s in reversed(second.final_states)][::-1]
+    assert forward == backward
+    assert chosen_text == (first.chosen.text if first.chosen else None)
+
+    # interior states read before the states that extend them
+    states = [ScanState()]
+    for index, token in enumerate(word_tokens(tokens)):
+        states = advance(states, token, seed_lexicon.lookup(token.key), index,
+                         seed_lexicon.is_stress_eligible(token.key), cfg)
+        for state in states[index % 2::3]:
+            state.text
+    assert [read(s) for s in states] == forward
 
 
 def test_advance_conserves_likelihood_and_grows_counts(seed_lexicon, canto_verses):
