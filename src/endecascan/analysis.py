@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Iterable
 
 from .corpus import VerseRecord
-from .lexicon import Lexicon
 from .scander import VerseScansion
 from .tokenizer import word_tokens
 
@@ -73,7 +72,7 @@ def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:
     return out
 
 
-def accent_pattern(scansion: VerseScansion, lex: Lexicon,
+def accent_pattern(scansion: VerseScansion,
                    include_secondary: bool = False) -> AccentPattern:
     """Stress profile of the chosen state over its syllable positions.
 
@@ -114,14 +113,14 @@ def metric_units(pattern: AccentPattern) -> str:
     return "".join(f"{u}/" for u in units)
 
 
-def pattern_histogram(records: Iterable[VerseRecord], lex: Lexicon,
+def pattern_histogram(records: Iterable[VerseRecord],
                       include_secondary: bool = False) -> dict[str, int]:
     """Histogram of rendered accent patterns over the chosen states."""
     counts: Counter = Counter()
     for record in records:
         if record.scansion.chosen is None:
             continue
-        counts[accent_pattern(record.scansion, lex, include_secondary).rendered] += 1
+        counts[accent_pattern(record.scansion, include_secondary).rendered] += 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return dict(ordered)
 

@@ -97,7 +97,7 @@ def _cmd_corpus(args) -> int:
             yield record
 
     try:
-        records, _ = _scan_records(args)
+        records = _scan_records(args)
         paths = corpus.write_outputs(tally(records), args.out, Path(args.infile).stem)
     except (OSError, LexiconError, corpus.CorpusFormatError,
             corpus.AmendmentMismatch) as exc:
@@ -143,8 +143,8 @@ def _cmd_lex_check(args) -> int:
 
 
 def _scan_records(args):
-    """Records of args.infile after its amendments, and the lexicon: a user
-    --amendments file must match exactly, the bundled one where it can."""
+    """Records of args.infile after its amendments: a user --amendments
+    file must match exactly, the bundled one where it can."""
     from . import corpus
     lex = _load_lexicon(args.lexicon)
     doc = corpus.parse_corpus(Path(args.infile).read_text("utf-8"))
@@ -155,13 +155,13 @@ def _scan_records(args):
             "data", "amendments.tsv").read_text("utf-8")
     doc = corpus.apply_amendments(doc, corpus.parse_amendments(amendments),
                                   strict=bool(args.amendments))
-    return corpus.scan_records(doc, lex, ScanConfig()), lex
+    return corpus.scan_records(doc, lex, ScanConfig())
 
 
 def _cmd_query(args) -> int:
     from . import analysis, corpus
     try:
-        records, _ = _scan_records(args)
+        records = _scan_records(args)
     except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
         return _fail(str(exc))
     occurrences = analysis.classify_word(args.word.lower(), records)
@@ -172,11 +172,10 @@ def _cmd_query(args) -> int:
 def _cmd_stats(args) -> int:
     from . import analysis, corpus
     try:
-        records, lex = _scan_records(args)
+        records = _scan_records(args)
     except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
         return _fail(str(exc))
-    histogram = analysis.pattern_histogram(records, lex,
-                                           include_secondary=args.secondary)
+    histogram = analysis.pattern_histogram(records, include_secondary=args.secondary)
     sys.stdout.write(analysis.histogram_tsv(histogram))
     return EXIT_OK
 

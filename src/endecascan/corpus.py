@@ -2,7 +2,8 @@
 
 The expected input is a Gutenberg-style plain-text edition: canto
 headers like ``Inferno: Canto I`` followed by blank-line-separated
-tercets.  Anything before the first header is ignored.
+tercets.  Anything before the first header is ignored.  A parsed
+corpus is a flat tuple of located verses, read front to back.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import Lexicon
 from .scander import (BadAnalysisError, ScanConfig, ScanStatus, VerseScansion,
@@ -64,31 +65,12 @@ def int_to_roman(value: int) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class Verse:
+class Verse(NamedTuple):
+    """One verse and its location; a corpus is a tuple of them."""
+    cantica: str
+    canto: int
     line: int
     text: str
-
-
-@dataclass(frozen=True)
-class Canto:
-    number: int
-    verses: tuple[Verse, ...]
-
-
-@dataclass(frozen=True)
-class CorpusDocument:
-    cantiche: tuple[tuple[str, tuple[Canto, ...]], ...]
-
-    def iter_verses(self):
-        for cantica, canti in self.cantiche:
-            for canto in canti:
-                for verse in canto.verses:
-                    yield (cantica, canto.number, verse.line), verse.text
-
-    @property
-    def verse_count(self) -> int:
-        return sum(1 for _ in self.iter_verses())
 
 
 @dataclass(frozen=True)
@@ -140,71 +122,52 @@ class ScanReport:
         return counts
 
 
-def parse_corpus(text: str) -> CorpusDocument:
-    """Structure a plain-text edition into cantiche, canti and verses."""
-    cantiche: dict[str, list[Canto]] = {}
-    order: list[str] = []
-    current: tuple[str, int] | None = None
-    verses: list[Verse] = []
-
-    def close():
-        if current is not None:
-            name, number = current
-            if name not in cantiche:
-                cantiche[name] = []
-                order.append(name)
-            cantiche[name].append(Canto(number, tuple(verses)))
-
+def parse_corpus(text: str) -> tuple[Verse, ...]:
+    """One Verse per line of a plain-text edition, numbered from 1 after
+    each header; the cantos of a cantica stay together, in order of its
+    first header."""
+    cantiche: dict[str, list[Verse]] = {}
+    verses = None
     for raw in text.splitlines():
         header = _HEADER_RE.match(raw)
         if header:
-            close()
-            current = (header.group(1), roman_to_int(header.group(2)))
-            verses = []
+            cantica, canto = header.group(1), roman_to_int(header.group(2))
+            verses = cantiche.setdefault(cantica, [])
+            line = 0
             continue
-        line = raw.strip()
-        if not line:
-            continue
-        if current is None:
-            continue  # Gutenberg-style preamble before the first header
-        verses.append(Verse(len(verses) + 1, line))
-    close()
-    if not cantiche:
+        stripped = raw.strip()
+        if stripped and verses is not None:  # lines before the first header are preamble
+            line += 1
+            verses.append(Verse(cantica, canto, line, stripped))
+    if verses is None:
         raise CorpusFormatError("no canto header found")
-    return CorpusDocument(tuple((name, tuple(cantiche[name])) for name in order))
+    return tuple(v for group in cantiche.values() for v in group)
 
 
-def apply_amendments(doc: CorpusDocument, amendments: list[Amendment],
-                     strict: bool = True) -> CorpusDocument:
+def apply_amendments(doc: tuple[Verse, ...], amendments: list[Amendment],
+                     strict: bool = True) -> tuple[Verse, ...]:
     """Apply editorial amendments, each guarded by an exact-match check.
     strict=False skips an amendment whose verse is absent, and one whose
     original text is absent from its verse with a note on stderr."""
     index = {}
     for a in amendments:
         index.setdefault((a.cantica.lower(), a.canto, a.line), []).append(a)
-    new_cantiche = []
-    for cantica, canti in doc.cantiche:
-        new_canti = []
-        for canto in canti:
-            new_verses = []
-            for verse in canto.verses:
-                text = verse.text
-                for a in index.pop((cantica.lower(), canto.number, verse.line), []):
-                    if a.original in text:
-                        text = text.replace(a.original, a.replacement, 1)
-                    elif strict:
-                        raise AmendmentMismatch(a, text)
-                    else:
-                        print(f"endecascan: skipped {AmendmentMismatch(a, text)}",
-                              file=sys.stderr)
-                new_verses.append(verse if text == verse.text
-                                  else Verse(verse.line, text))
-            new_canti.append(Canto(canto.number, tuple(new_verses)))
-        new_cantiche.append((cantica, tuple(new_canti)))
+    out = []
+    for verse in doc:
+        cantica, canto, line, text = verse
+        for a in index.pop((cantica.lower(), canto, line), ()):
+            if a.original in text:
+                text = text.replace(a.original, a.replacement, 1)
+            elif strict:
+                raise AmendmentMismatch(a, text)
+            else:
+                print(f"endecascan: skipped {AmendmentMismatch(a, text)}",
+                      file=sys.stderr)
+        out.append(verse if text == verse.text else verse._replace(text=text))
     if strict:
         for leftovers in index.values():
             raise AmendmentMismatch(leftovers[0], None)
-    return CorpusDocument(tuple(new_cantiche))
+    return tuple(out)
 
 
 def parse_amendments(text: str) -> list[Amendment]:
@@ -224,22 +187,22 @@ def parse_amendments(text: str) -> list[Amendment]:
     return out
 
 
-def scan_records(doc: CorpusDocument, lex: Lexicon,
+def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
                  cfg: ScanConfig | None = None) -> Iterator[VerseRecord]:
     """Scan the verses one at a time; failures, a bad analysis among
     them, are recorded in each record's status, not raised."""
     cfg = cfg or ScanConfig()
-    for location, text in doc.iter_verses():
-        normalized = normalize_line(text)
+    for verse in doc:
+        normalized = normalize_line(verse.text)
         tokens = tuple(tokenize(normalized))
         try:
             scansion = scan_verse(tokens, lex, cfg)
         except BadAnalysisError:
             scansion = VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS)
-        yield VerseRecord(location, normalized, tokens, scansion)
+        yield VerseRecord(verse[:3], normalized, tokens, scansion)
 
 
-def scan_document(doc: CorpusDocument, lex: Lexicon,
+def scan_document(doc: tuple[Verse, ...], lex: Lexicon,
                   cfg: ScanConfig | None = None) -> ScanReport:
     """Every record of scan_records, kept for random access."""
     return ScanReport(tuple(scan_records(doc, lex, cfg)))

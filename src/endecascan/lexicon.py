@@ -205,8 +205,9 @@ def _parse_propensity(text: str, line_no: int) -> Propensity:
     return Propensity(value)
 
 
-def parse_lexicon(text: str) -> Lexicon:
-    """Parse the TAB-separated dictionary format described above."""
+def _parse_rows(text: str) -> tuple[dict[str, list[WordAnalysis]], list[str]]:
+    """The analyses by key and the stress-ineligible keys of a text in the
+    format described above, each row checked; weights are not summed."""
     entries: dict[str, list[WordAnalysis]] = {}
     ineligible: list[str] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -243,6 +244,12 @@ def parse_lexicon(text: str) -> Lexicon:
         except LexiconValidationError as exc:
             raise LexiconParseError(str(exc), line_no) from None
         entries.setdefault(key, []).append(analysis)
+    return entries, ineligible
+
+
+def parse_lexicon(text: str) -> Lexicon:
+    """Parse the TAB-separated dictionary format described above."""
+    entries, ineligible = _parse_rows(text)
     try:
         return build_lexicon(entries, ineligible)
     except LexiconValidationError as exc:

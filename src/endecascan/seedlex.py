@@ -12,8 +12,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable
 
-from .lexicon import (Lexicon, LexiconParseError, WordAnalysis,
-                      _parse_propensity, build_lexicon)
+from .lexicon import Lexicon, WordAnalysis, _parse_rows, build_lexicon
 from .wordrules import RuleConfig, build_analyses, default_config
 
 # monosyllables that never count as metrical accents: articles, articled
@@ -27,27 +26,19 @@ STRESS_INELIGIBLE = frozenset((
 def load_nondet_table(all_variants: bool = False) -> dict[str, list[WordAnalysis]]:
     """Nondeterministic word table from the bundled data file.
 
-    Rows: key, optin, weight, p_l, p_r, syllabification, accents.
+    Rows are lexicon rows with an optin column after the key; optin=1
+    rows are read only with all_variants.  Errors count a row's fields
+    without its optin column.
     """
     text = resources.files("endecascan").joinpath("data", "nondet_words.tsv") \
         .read_text("utf-8")
-    table: dict[str, list[WordAnalysis]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    rows = []
+    for line in text.splitlines():
         fields = line.split("\t")
-        if len(fields) != 7:
-            raise LexiconParseError(f"expected 7 fields, got {len(fields)}", line_no)
-        key, optin, weight, p_l, p_r, sylls, accents = fields
-        if optin == "1" and not all_variants:
-            continue
-        table.setdefault(key, []).append(WordAnalysis(
-            tuple(sylls.split("|")),
-            tuple(int(a) for a in accents.split(",")),
-            _parse_propensity(p_l, line_no),
-            _parse_propensity(p_r, line_no),
-            float(weight)))
+        optin = fields.pop(1) if len(fields) > 1 else None
+        # a skipped row stays as a blank line, so errors name the file's lines
+        rows.append("" if optin == "1" and not all_variants else "\t".join(fields))
+    table, _ = _parse_rows("\n".join(rows))
     # renormalize single-variant leftovers of opt-in families
     for key, variants in table.items():
         total = sum(v.weight for v in variants)

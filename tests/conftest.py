@@ -26,7 +26,7 @@ def canto_golden():
 
 @pytest.fixture(scope="session")
 def canto_verses(canto_document):
-    return [text for _, text in canto_document.iter_verses()]
+    return [verse.text for verse in canto_document]
 
 
 def pytest_terminal_summary(terminalreporter):

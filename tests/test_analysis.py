@@ -50,20 +50,20 @@ def scan(text, lex):
 
 def test_accent_pattern_line_one(seed_lexicon):
     scansion = scan("Nel mezzo del cammin di nostra vita", seed_lexicon)
-    pattern = accent_pattern(scansion, seed_lexicon)
+    pattern = accent_pattern(scansion)
     assert pattern.rendered == "-+---+-+-+-"
 
 
 def test_accent_pattern_requires_chosen_state(seed_lexicon):
     failed = scan("selva oscura", seed_lexicon)
     with pytest.raises(AnalysisError):
-        accent_pattern(failed, seed_lexicon)
+        accent_pattern(failed)
 
 
 def test_accent_pattern_includes_tenth(seed_lexicon, canto_document):
     report = scan_document(canto_document, seed_lexicon, ScanConfig())
     for record in report.records:
-        pattern = accent_pattern(record.scansion, seed_lexicon)
+        pattern = accent_pattern(record.scansion)
         assert pattern.positions[9], record.location
         assert len(pattern.positions) == record.scansion.chosen.count
 
@@ -71,13 +71,13 @@ def test_accent_pattern_includes_tenth(seed_lexicon, canto_document):
 def test_accent_pattern_one_word_verse(seed_lexicon):
     tokens = tokenize(normalize_line("Amore"))
     scansion = scan_verse(tokens, seed_lexicon, ScanConfig(require_a10=False))
-    assert accent_pattern(scansion, seed_lexicon).rendered == "-+-"
+    assert accent_pattern(scansion).rendered == "-+-"
 
 
 def test_accent_pattern_secondary_flag(seed_lexicon):
     scansion = scan("con tre gole caninamente latra", seed_lexicon)
-    without = accent_pattern(scansion, seed_lexicon)
-    with_secondary = accent_pattern(scansion, seed_lexicon, include_secondary=True)
+    without = accent_pattern(scansion)
+    with_secondary = accent_pattern(scansion, include_secondary=True)
     assert not without.positions[5]
     assert with_secondary.positions[5]
 
@@ -98,7 +98,7 @@ def test_metric_units_degenerate_patterns():
 
 def test_pattern_histogram_totals(seed_lexicon, canto_document):
     report = scan_document(canto_document, seed_lexicon, ScanConfig())
-    histogram = pattern_histogram(report, seed_lexicon)
+    histogram = pattern_histogram(report)
     assert sum(histogram.values()) == 136
     counts = list(histogram.values())
     assert counts == sorted(counts, reverse=True)
@@ -107,7 +107,7 @@ def test_pattern_histogram_totals(seed_lexicon, canto_document):
 def test_pattern_histogram_empty(seed_lexicon):
     report = scan_document(parse_corpus("Inferno: Canto I\n"), seed_lexicon,
                            ScanConfig())
-    assert pattern_histogram(report, seed_lexicon) == {}
+    assert pattern_histogram(report) == {}
 
 
 def test_pattern_histogram_counts_duplicates(seed_lexicon):
@@ -115,13 +115,13 @@ def test_pattern_histogram_counts_duplicates(seed_lexicon):
             "Nel mezzo del cammin di nostra vita\n"
             "Nel mezzo del cammin di nostra vita\n")
     report = scan_document(parse_corpus(text), seed_lexicon, ScanConfig())
-    assert pattern_histogram(report, seed_lexicon) == {"-+---+-+-+-": 2}
+    assert pattern_histogram(report) == {"-+---+-+-+-": 2}
 
 
-def test_tsv_serializers(porto_report, seed_lexicon):
+def test_tsv_serializers(porto_report):
     occurrences = classify_word("portò", porto_report)
     tsv = occurrences_tsv(occurrences)
     assert tsv.startswith("cantica\tcanto\tline\tword\tside\toutcome\tneighbor")
     assert "synalephe" in tsv and "dialephe" in tsv
-    histogram = pattern_histogram(porto_report, seed_lexicon)
+    histogram = pattern_histogram(porto_report)
     assert histogram_tsv(histogram).startswith("pattern\tcount\n")

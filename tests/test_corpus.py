@@ -29,14 +29,11 @@ def test_roman_numerals():
 
 
 def test_parse_canto(canto_document):
-    assert len(canto_document.cantiche) == 1
-    name, canti = canto_document.cantiche[0]
-    assert name == "Inferno"
-    assert len(canti) == 1
-    assert canti[0].number == 1
-    assert len(canti[0].verses) == 136
-    assert canti[0].verses[0].text == "Nel mezzo del cammin di nostra vita"
-    assert [v.line for v in canti[0].verses] == list(range(1, 137))
+    assert {v.cantica for v in canto_document} == {"Inferno"}
+    assert {v.canto for v in canto_document} == {1}
+    assert len(canto_document) == 136
+    assert canto_document[0].text == "Nel mezzo del cammin di nostra vita"
+    assert [v.line for v in canto_document] == list(range(1, 137))
 
 
 def test_parse_empty_corpus_errors():
@@ -49,8 +46,30 @@ def test_parse_empty_corpus_errors():
 def test_parse_tolerates_trailing_blank_lines():
     text = "Inferno: Canto I\n\nprima riga\nseconda riga\n\n\n"
     doc = parse_corpus(text)
-    assert doc.verse_count == 2
+    assert len(doc) == 2
     assert doc == parse_corpus(text.rstrip("\n") + "\n\n")
+
+
+def test_corpus_order_locations_and_amendments(seed_lexicon):
+    def located(doc):
+        return [(r.location, r.text) for r in scan_records(doc, seed_lexicon)]
+
+    doc = parse_corpus("Edizione di prova, prima di ogni canto\n\n"
+                       "Inferno: Canto I\n\nuno\ndue\n\n"
+                       "Purgatorio: Canto I\n\ntre\n\n"
+                       "Inferno: Canto II\n\nquattro\n\n"
+                       "Inferno: Canto II\n\nquattro ancora\ncinque\n")
+    # cantos grouped by each cantica's first header; lines restart at
+    # every header, and a repeated header keeps both runs
+    assert located(doc) == [
+        (("Inferno", 1, 1), "uno"), (("Inferno", 1, 2), "due"),
+        (("Inferno", 2, 1), "quattro"), (("Inferno", 2, 1), "quattro ancora"),
+        (("Inferno", 2, 2), "cinque"), (("Purgatorio", 1, 1), "tre")]
+    # only the first verse at a location is amended
+    amended = apply_amendments(doc, [Amendment("Inferno", 2, 1, "quattro", "4")])
+    assert [text for _, text in located(amended)] == [
+        "uno", "due", "4", "quattro ancora", "cinque", "tre"]
+    assert located(parse_corpus("Inferno: Canto I\n\n\n")) == []
 
 
 SAMPLE = """Inferno: Canto XX
@@ -77,12 +96,12 @@ def shipped_amendments():
 def test_apply_shipped_amendments():
     doc = parse_corpus(SAMPLE)
     amended = apply_amendments(doc, shipped_amendments())
-    texts = [text for _, text in amended.iter_verses()]
+    texts = [verse.text for verse in amended]
     assert texts[0] == "e suol di state talor esser grama."
     assert texts[1] == "ch’ïo drizzava spesso il viso in vano."
     assert texts[2] == "Tesëo combattér co’ doppi petti;"
     # the original document is untouched
-    assert [t for _, t in doc.iter_verses()][0].endswith("essere grama.")
+    assert doc[0].text.endswith("essere grama.")
 
 
 def test_amendments_guard_against_drift():
@@ -104,8 +123,7 @@ def test_bundled_amendments_skip_what_they_cannot_apply(capsys):
     assert capsys.readouterr().err == ""
     drifted = Amendment("Inferno", 20, 1, "non presente", "x")
     amended = apply_amendments(doc, [drifted] + shipped_amendments(), strict=False)
-    assert [text for _, text in amended.iter_verses()][0] == \
-        "e suol di state talor esser grama."
+    assert amended[0].text == "e suol di state talor esser grama."
     err = capsys.readouterr().err.splitlines()
     assert err == ["endecascan: skipped amendment at Inferno 20,1: expected "
                    "'non presente' in 'e suol di state talor essere grama.'"]
@@ -205,9 +223,9 @@ def test_streamed_records_give_the_outputs_of_a_kept_report(
         assert classify_word(key, report) == \
             classify_word(key, scan_records(doc, seed_lexicon, ScanConfig()))
     for secondary in (False, True):
-        assert pattern_histogram(report, seed_lexicon, secondary) == \
+        assert pattern_histogram(report, secondary) == \
             pattern_histogram(scan_records(doc, seed_lexicon, ScanConfig()),
-                              seed_lexicon, secondary)
+                              secondary)
     if name == "inferno_i":
         syl = streamed["syllabified"].read_text("utf-8").splitlines()
         assert [line for line in syl[2:] if line] == canto_golden

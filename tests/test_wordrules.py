@@ -1,8 +1,10 @@
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
-from endecascan.lexicon import Propensity
+from endecascan import seedlex
+from endecascan.lexicon import LexiconParseError, Propensity
 from endecascan.seedlex import load_nondet_table
 from endecascan.wordrules import (RuleConfig, WordRuleError, build_analyses,
                                   default_config, init_propensities,
@@ -151,6 +153,25 @@ def test_build_analyses_avea_variants(cfg):
     assert (diphthong.p_l.value, diphthong.n, diphthong.p_r.value) == (1.0, 2, 0.1)
     assert (hiatus.p_l.value, hiatus.n, hiatus.p_r.value) == (1.0, 3, 1.0)
     assert (diphthong.weight, hiatus.weight) == (0.9, 0.1)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("avea\t0\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
+    ("avea\t1\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
+    ("avea\t0\t1\t1", "expected 6 fields, got 3"),
+])
+def test_nondet_table_rows_are_checked_as_lexicon_rows(monkeypatch, tmp_path,
+                                                       row, message):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "nondet_words.tsv").write_text(
+        "# key\toptin\tweight\tp_l\tp_r\tsyllabification\taccents\n"
+        f"creature\t0\t1\t0\t1\tcre|a|tu|re\t-1\n{row}\n", "utf-8")
+    monkeypatch.setattr(seedlex, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(LexiconParseError) as exc:
+        load_nondet_table(all_variants=True)
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"line 3: {message}"
 
 
 def test_rule_config_rejects_overlap():
