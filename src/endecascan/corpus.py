@@ -125,13 +125,19 @@ class ScanReport:
 def parse_corpus(text: str) -> tuple[Verse, ...]:
     """One Verse per line of a plain-text edition, numbered from 1 after
     each header; the cantos of a cantica stay together, in order of its
-    first header."""
+    first header.  A repeated header is noted on stderr: its verses
+    repeat the locations of the earlier run."""
     cantiche: dict[str, list[Verse]] = {}
+    seen = set()
     verses = None
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         header = _HEADER_RE.match(raw)
         if header:
             cantica, canto = header.group(1), roman_to_int(header.group(2))
+            if (cantica, canto) in seen:
+                print(f"endecascan: repeated header {raw.strip()!r} at line "
+                      f"{line_no}; its verses repeat locations", file=sys.stderr)
+            seen.add((cantica, canto))
             verses = cantiche.setdefault(cantica, [])
             line = 0
             continue

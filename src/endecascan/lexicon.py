@@ -21,8 +21,6 @@ keys declares the monosyllables that never count as metrical accents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping
 
 WEIGHT_TOLERANCE = 1e-9
@@ -49,21 +47,44 @@ class UnknownWord(LexiconError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class Propensity:
+class Value:
+    """Base of the scan path's value types, plain slotted classes so that
+    `scan` need not import `dataclasses`.  Equality, hashing and repr read
+    the fields a class lists in `_fields`, as a dataclass's would.  Values;
+    never assign to one: unlike a frozen dataclass, nothing stops it."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Propensity(Value):
     """Synalephe propensity of one word extremity.
 
     value is a probability in [0, 1]; the sentinel value 2 marks an
     apostrophe, which melds with any partner that admits a synalephe
-    at all.
+    at all.  A value; never assign to one.
     """
 
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if not (0.0 <= v <= 1.0 or v == APOSTROPHE_VALUE):
-            raise LexiconValidationError(f"propensity out of range: {v!r}")
+    def __init__(self, value: float):
+        if not (0.0 <= value <= 1.0 or value == APOSTROPHE_VALUE):
+            raise LexiconValidationError(f"propensity out of range: {value!r}")
+        self.value = value
 
     @property
     def is_apostrophe(self) -> bool:
@@ -87,64 +108,52 @@ PROB_ZERO = Propensity(0.0)
 PROB_ONE = Propensity(1.0)
 
 
-@dataclass(frozen=True)
-class MetricTuple:
-    """The per-word metric record: propensities, size, accent offset."""
+class MetricTuple(Value):
+    """The per-word metric record: propensities, size, accent offset; a
+    value, never assigned to."""
 
-    p_l: Propensity
-    n: int
-    a: int
-    p_r: Propensity
+    __slots__ = _fields = ("p_l", "n", "a", "p_r")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise LexiconValidationError(f"syllable count must be positive: {self.n}")
-        if not -(self.n - 1) <= self.a <= 0:
-            raise LexiconValidationError(
-                f"accent offset {self.a} outside [{-(self.n - 1)}, 0]")
+    def __init__(self, p_l: Propensity, n: int, a: int, p_r: Propensity):
+        if n < 1:
+            raise LexiconValidationError(f"syllable count must be positive: {n}")
+        if not -(n - 1) <= a <= 0:
+            raise LexiconValidationError(f"accent offset {a} outside [{-(n - 1)}, 0]")
+        self.p_l, self.n, self.a, self.p_r = p_l, n, a, p_r
 
 
-@dataclass(frozen=True)
-class WordAnalysis:
-    """One syllabification variant of a word form."""
+class WordAnalysis(Value):
+    """One syllabification variant of a word form.
 
-    syllables: tuple[str, ...]
-    accents: tuple[int, ...]  # offsets from the right end, primary first
-    p_l: Propensity
-    p_r: Propensity
-    weight: float = 1.0
+    accents are offsets from the right end, primary first.  form, n and
+    rendered (the syllables joined by bars, as a scansion renders them)
+    are derived once; they are not fields, so equality, hashing and repr
+    read the fields alone.  A value; never assign to one.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "syllables", tuple(self.syllables))
-        object.__setattr__(self, "accents", tuple(self.accents))
-        if not self.syllables or any(not s for s in self.syllables):
+    _fields = ("syllables", "accents", "p_l", "p_r", "weight")
+    __slots__ = _fields + ("form", "n", "rendered")
+
+    def __init__(self, syllables: Iterable[str], accents: Iterable[int],
+                 p_l: Propensity, p_r: Propensity, weight: float = 1.0):
+        self.syllables = syllables = tuple(syllables)
+        self.accents = accents = tuple(accents)
+        self.p_l, self.p_r, self.weight = p_l, p_r, weight
+        if not syllables or any(not s for s in syllables):
             raise LexiconValidationError("syllables must be nonempty")
-        if not self.accents:
+        if not accents:
             raise LexiconValidationError("at least the primary accent is required")
-        n = len(self.syllables)
-        for o in self.accents:
+        self.form = "".join(syllables)
+        self.n = n = len(syllables)
+        self.rendered = "|".join(syllables)
+        for o in accents:
             if not -(n - 1) <= o <= 0:
                 raise LexiconValidationError(
                     f"accent offset {o} outside [{-(n - 1)}, 0] for {self.form!r}")
-        if len(set(self.accents)) != len(self.accents):
+        if len(set(accents)) != len(accents):
             raise LexiconValidationError(f"duplicate accent offsets for {self.form!r}")
-        if not 0.0 < self.weight <= 1.0:
-            raise LexiconValidationError(f"weight must be in (0, 1]: {self.weight!r}")
-
-    # derived once per analysis; the cached values sit outside the fields,
-    # so equality and hashing still read the fields alone
-    @cached_property
-    def form(self) -> str:
-        return "".join(self.syllables)
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.syllables)
-
-    @cached_property
-    def rendered(self) -> str:
-        """The syllables joined by bars, as a scansion renders them."""
-        return "|".join(self.syllables)
+        if not 0.0 < weight <= 1.0:
+            raise LexiconValidationError(f"weight must be in (0, 1]: {weight!r}")
 
     @property
     def tuple(self) -> MetricTuple:
@@ -161,12 +170,15 @@ def _check_weights(key: str, analyses: Iterable[WordAnalysis]) -> tuple[WordAnal
     return analyses
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Immutable map from normalized word key to its analyses."""
+class Lexicon(Value):
+    """Map from normalized word key to its analyses; a value, never
+    assigned to."""
 
-    entries: Mapping[str, tuple[WordAnalysis, ...]]
-    stress_ineligible: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = _fields = ("entries", "stress_ineligible")
+
+    def __init__(self, entries: Mapping[str, tuple[WordAnalysis, ...]],
+                 stress_ineligible: frozenset[str] = frozenset()):
+        self.entries, self.stress_ineligible = entries, stress_ineligible
 
     def lookup(self, key: str) -> tuple[WordAnalysis, ...]:
         try:
@@ -210,6 +222,8 @@ def _parse_rows(text: str) -> tuple[dict[str, list[WordAnalysis]], list[str]]:
     format described above, each row checked; weights are not summed."""
     entries: dict[str, list[WordAnalysis]] = {}
     ineligible: list[str] = []
+    # a lexicon holds few distinct propensity texts: parse each one once
+    propensities: dict[str, Propensity] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -229,8 +243,10 @@ def _parse_rows(text: str) -> tuple[dict[str, list[WordAnalysis]], list[str]]:
             weight = 1.0 if weight_s in ("", "-") else float(weight_s)
         except ValueError:
             raise LexiconParseError(f"bad weight {weight_s!r}", line_no) from None
-        p_l = _parse_propensity(p_l_s, line_no)
-        p_r = _parse_propensity(p_r_s, line_no)
+        for p_s in (p_l_s, p_r_s):
+            if p_s not in propensities:
+                propensities[p_s] = _parse_propensity(p_s, line_no)
+        p_l, p_r = propensities[p_l_s], propensities[p_r_s]
         syllables = tuple(sylls_s.split("|"))
         if "".join(syllables) != key:
             raise LexiconParseError(

@@ -25,43 +25,48 @@ word.  Among admissible readings the most likely one wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .lexicon import (APOSTROPHE_VALUE, PROB_ZERO, Lexicon, Propensity,
-                      UnknownWord, WordAnalysis)
+                      UnknownWord, Value, WordAnalysis)
 from .tokenizer import Token, word_tokens
 
 TENTH = 10
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    require_a10: bool = True
-    prefer_a4_or_a6: bool = True
-    max_total_syllables: int = 11
-    likelihood_floor: float = 1e-9
-    tie_epsilon: float = 1e-12
-    # disabled only by exhaustive-enumeration checks; admissibility is
-    # still enforced at finalize time
-    incremental_pruning: bool = True
+class ScanConfig(Value):
+    """The metric constraints and search limits of a scan; a value."""
 
-    def __post_init__(self):
-        if self.max_total_syllables < 1:
+    __slots__ = _fields = ("require_a10", "prefer_a4_or_a6", "max_total_syllables",
+                           "likelihood_floor", "tie_epsilon", "incremental_pruning")
+
+    def __init__(self, require_a10: bool = True, prefer_a4_or_a6: bool = True,
+                 max_total_syllables: int = 11, likelihood_floor: float = 1e-9,
+                 tie_epsilon: float = 1e-12, incremental_pruning: bool = True):
+        if max_total_syllables < 1:
             raise ValueError("max_total_syllables must be >= 1")
-        if self.likelihood_floor < 0 or self.tie_epsilon <= 0:
+        if likelihood_floor < 0 or tie_epsilon <= 0:
             raise ValueError("floors must be positive")
+        self.require_a10 = require_a10
+        self.prefer_a4_or_a6 = prefer_a4_or_a6
+        self.max_total_syllables = max_total_syllables
+        self.likelihood_floor = likelihood_floor
+        self.tie_epsilon = tie_epsilon
+        # disabled only by exhaustive-enumeration checks; admissibility is
+        # still enforced at finalize time
+        self.incremental_pruning = incremental_pruning
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class AccentMark:
+class AccentMark(Value):
     """One accent landing inside a scanned verse; a value, never assigned to."""
 
-    position: int
-    primary: bool
-    eligible: bool
-    word_index: int
+    __slots__ = _fields = ("position", "primary", "eligible", "word_index")
+
+    def __init__(self, position: int, primary: bool, eligible: bool,
+                 word_index: int):
+        self.position, self.primary = position, primary
+        self.eligible, self.word_index = eligible, word_index
 
 
 class _Step:
@@ -104,7 +109,7 @@ def _append_word(text: str, step: _Step, melded: bool) -> str:
 _new_state = object.__new__
 
 
-class ScanState:
+class ScanState(Value):
     """One partial (or final) reading of a verse.
 
     The slots hold what the search and the ranking read.  A state built
@@ -112,10 +117,13 @@ class ScanState:
     and accents given outright.  A state built by `advance` is a chain
     node: it points to the state it extends (`_parent`), to the word
     step that extended it and to whether that word melded.  `text`,
-    `melds` and `accents` read the same either way.  States are values;
-    never assign to one.
+    `melds` and `accents` read the same either way; with the public
+    slots they are the state's value.  States are values; never assign
+    to one.
     """
 
+    _fields = ("text", "likelihood", "count", "pending_p_r", "a4", "a6",
+               "a10", "accent10_word_index", "melds", "accents", "order")
     __slots__ = ("likelihood", "count", "pending_p_r", "a4", "a6", "a10",
                  "accent10_word_index", "order",
                  "_parent", "_step", "_melded",  # chain nodes
@@ -191,28 +199,6 @@ class ScanState:
         # everything after the first bar; a leading chunk is punctuation
         return self.text.split("|")[1:]
 
-    def _value(self) -> tuple:
-        return (self.text, self.likelihood, self.count, self.pending_p_r,
-                self.a4, self.a6, self.a10, self.accent10_word_index,
-                self.melds, self.accents, self.order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(
-            _VALUE_FIELDS, self._value()))
-        return f"ScanState({fields})"
-
-
-_VALUE_FIELDS = ("text", "likelihood", "count", "pending_p_r", "a4", "a6",
-                 "a10", "accent10_word_index", "melds", "accents", "order")
-
 
 class ScanStatus(Enum):
     OK = "ok"
@@ -226,16 +212,20 @@ class ScanStatus(Enum):
         return self in (ScanStatus.OK, ScanStatus.WARN_NO_CAESURA)
 
 
-@dataclass(frozen=True)
-class VerseScansion:
-    """Outcome of scanning one verse."""
+class VerseScansion(Value):
+    """Outcome of scanning one verse; a value, never assigned to."""
 
-    chosen: ScanState | None
-    admissible: tuple[ScanState, ...]
-    status: ScanStatus
-    final_states: tuple[ScanState, ...] = ()
-    unknown_key: str | None = None
-    best_rejected: ScanState | None = None
+    __slots__ = _fields = ("chosen", "admissible", "status", "final_states",
+                           "unknown_key", "best_rejected")
+
+    def __init__(self, chosen: ScanState | None,
+                 admissible: tuple[ScanState, ...], status: ScanStatus,
+                 final_states: tuple[ScanState, ...] = (),
+                 unknown_key: str | None = None,
+                 best_rejected: ScanState | None = None):
+        self.chosen, self.admissible, self.status = chosen, admissible, status
+        self.final_states, self.unknown_key = final_states, unknown_key
+        self.best_rejected = best_rejected
 
 
 def meld_probability(p_r: Propensity, p_l: Propensity) -> float:

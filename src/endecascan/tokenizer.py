@@ -19,9 +19,10 @@ U+2019 after normalization has no elision to split.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from .lexicon import Value
 
 APOSTROPHE = "’"
 
@@ -44,8 +45,7 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Token:
+class Token(Value):
     """One verse token.
 
     surface is the original whitespace-delimited slice (punctuation
@@ -54,13 +54,13 @@ class Token:
     Tokens are values; never assign to one.
     """
 
-    kind: TokenKind
-    surface: str
-    space_before: bool
-    word: str = ""
-    key: str = ""
-    lead: str = ""
-    trail: str = ""
+    __slots__ = _fields = ("kind", "surface", "space_before", "word", "key",
+                           "lead", "trail")
+
+    def __init__(self, kind: TokenKind, surface: str, space_before: bool,
+                 word: str = "", key: str = "", lead: str = "", trail: str = ""):
+        self.kind, self.surface, self.space_before = kind, surface, space_before
+        self.word, self.key, self.lead, self.trail = word, key, lead, trail
 
 
 def normalize_line(line: str) -> str:

@@ -160,6 +160,22 @@ def test_lex_build_with_custom_rules(capsys, tmp_path):
     assert "qua\t1.0\t0.5\t0.25\tqua\t0" in out
 
 
+def test_corpus_notes_a_repeated_canto_header(capsys, tmp_path):
+    body = (DATA / "inferno_i.txt").read_text("utf-8").split("\n", 1)[1]
+    src = tmp_path / "twice.txt"
+    src.write_text(f"Inferno: Canto II\n{body}\nInferno: Canto II\n{body}", "utf-8")
+    line_no = src.read_text("utf-8").splitlines().index("Inferno: Canto II", 1) + 1
+    code, out, err = run(capsys, "corpus", "--lexicon", SEED, "--in", str(src),
+                         "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "scanned 272 verses: 272 ok, 0 anomalies, 0 failures" in out
+    assert err.splitlines() == [
+        f"endecascan: repeated header 'Inferno: Canto II' at line {line_no}; "
+        "its verses repeat locations"]
+    report = (tmp_path / "out" / "twice.report.tsv").read_text("utf-8")
+    assert report.count("Inferno\t2\t1\t") == 2
+
+
 def test_corpus_with_explicit_amendments(capsys, tmp_path):
     src = tmp_path / "canto.txt"
     src.write_text("Inferno: Canto XX\n\nNel mezzo del cammin di nostra vita\n",
@@ -294,6 +310,7 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
     assert "endecascan.scander" in modules
     for name in ("corpus", "analysis", "seedlex", "wordrules"):
         assert f"endecascan.{name}" not in modules
+    assert "dataclasses" not in modules and "inspect" not in modules
 
 
 @pytest.mark.parametrize("argv", [

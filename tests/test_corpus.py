@@ -72,6 +72,18 @@ def test_corpus_order_locations_and_amendments(seed_lexicon):
     assert located(parse_corpus("Inferno: Canto I\n\n\n")) == []
 
 
+def test_distinct_headers_give_no_note(capsys):
+    canto = (DATA / "inferno_i.txt").read_text("utf-8")
+    body = canto.split("\n", 1)[1]
+    comedy = "\n".join(f"{cantica}: Canto {int_to_roman(n)}\n{body}"
+                       for cantica, count in (("Inferno", 34), ("Purgatorio", 33),
+                                              ("Paradiso", 33))
+                       for n in range(1, count + 1))
+    assert len(parse_corpus(canto)) == 136
+    assert len(parse_corpus(comedy)) == 13_600
+    assert capsys.readouterr().err == ""
+
+
 SAMPLE = """Inferno: Canto XX
 
 e suol di state talor essere grama.

@@ -149,3 +149,57 @@ def test_stress_ineligible_set(seed_lexicon):
 def test_build_lexicon_checks_every_key():
     with pytest.raises(LexiconValidationError):
         build_lexicon({"a": []})
+
+
+def P(x):
+    return Propensity.prob(x)
+
+
+def test_propensities_and_metric_tuples_are_values_of_their_fields():
+    p = P(0.5)
+    assert repr(p) == "Propensity(value=0.5)"
+    assert repr(Propensity.apostrophe()) == "Propensity(value=2.0)"
+    assert p == Propensity(0.5) and hash(p) == hash((0.5,))
+    assert p != P(0.25)
+    t = MetricTuple(P(0), 2, -1, P(1))
+    assert repr(t) == ("MetricTuple(p_l=Propensity(value=0.0), n=2, a=-1, "
+                       "p_r=Propensity(value=1.0))")
+    assert t == MetricTuple(Propensity(0.0), 2, -1, Propensity(1.0))
+    assert hash(t) == hash((P(0), 2, -1, P(1)))
+    assert t != MetricTuple(P(0), 2, 0, P(1))
+
+
+def test_values_of_different_classes_never_compare_equal():
+    p = P(0.5)
+    assert p.__eq__((0.5,)) is NotImplemented
+    assert p != (0.5,) and (0.5,) != p
+    t = MetricTuple(P(0), 2, -1, P(1))
+    assert t != (P(0), 2, -1, P(1))
+    analysis = WordAnalysis(("e",), (0,), P(0), P(1))
+    assert analysis != t and t != analysis
+    assert analysis.__eq__(t) is NotImplemented
+
+
+def test_word_analysis_equality_ignores_the_derived_attributes():
+    a = WordAnalysis(["sel", "va"], [-1], P(0), P(1))
+    b = WordAnalysis(("sel", "va"), (-1,), P(0), P(1), 1.0)
+    assert (a.form, a.n, a.rendered) == ("selva", 2, "sel|va")  # read on a only
+    assert a == b
+    assert hash(a) == hash(b) == hash((("sel", "va"), (-1,), P(0), P(1), 1.0))
+    assert repr(a) == repr(b) == (
+        "WordAnalysis(syllables=('sel', 'va'), accents=(-1,), "
+        "p_l=Propensity(value=0.0), p_r=Propensity(value=1.0), weight=1.0)")
+    assert a != WordAnalysis(("sel", "va"), (-1,), P(0), P(0))
+    assert a != WordAnalysis(("sel", "va"), (-1,), P(0), P(1), 0.5)
+
+
+def test_lexicons_compare_by_value_and_are_unhashable():
+    text = "@stress-ineligible\te\ne\t1\t0.9\t0.2\te\t0\n"
+    lex = parse_lexicon(text)
+    assert lex == parse_lexicon(text) == build_lexicon(
+        {"e": [WordAnalysis(("e",), (0,), P(0.9), P(0.2))]}, ["e"])
+    assert lex != Lexicon(lex.entries)
+    assert lex != (lex.entries, lex.stress_ineligible)
+    assert repr(Lexicon({})) == "Lexicon(entries={}, stress_ineligible=frozenset())"
+    with pytest.raises(TypeError):
+        hash(lex)

@@ -5,8 +5,8 @@ from endecascan import scander
 from endecascan.lexicon import (PROB_ONE, PROB_ZERO, Propensity, WordAnalysis,
                                 build_lexicon)
 from endecascan.scander import (AccentMark, ScanConfig, ScanState, ScanStatus,
-                                advance, finalize, meld_probability,
-                                scan_verse, split_surface)
+                                VerseScansion, advance, finalize,
+                                meld_probability, scan_verse, split_surface)
 from endecascan.tokenizer import (Token, TokenKind, normalize_line, tokenize,
                                   word_tokens)
 from test_acceptance import PERMISSIVE, verse_st
@@ -75,6 +75,47 @@ def test_equal_accent_marks_hash_equal():
 
 
 E_ANALYSIS = WordAnalysis(("e",), (0,), P(0.9), P(0.2))
+
+
+def test_scan_config_is_a_checked_value():
+    cfg = ScanConfig()
+    assert repr(cfg) == (
+        "ScanConfig(require_a10=True, prefer_a4_or_a6=True, "
+        "max_total_syllables=11, likelihood_floor=1e-09, tie_epsilon=1e-12, "
+        "incremental_pruning=True)")
+    fields = (True, True, 11, 1e-9, 1e-12, True)
+    assert cfg == ScanConfig(*fields) and hash(cfg) == hash(fields)
+    assert cfg != ScanConfig(incremental_pruning=False)
+    assert cfg != fields and cfg.__eq__(fields) is NotImplemented
+    for bad in ({"max_total_syllables": 0}, {"tie_epsilon": 0},
+                {"likelihood_floor": -1.0}):
+        with pytest.raises(ValueError):
+            ScanConfig(**bad)
+
+
+def test_verse_scansions_are_values_of_their_fields():
+    lex = build_lexicon({"e": [E_ANALYSIS]})
+    a, b = (scan("e", lex, require_a10=False) for _ in range(2))
+    s = a.chosen
+    assert a == b and hash(a) == hash(b)
+    status = ScanStatus.WARN_NO_CAESURA
+    assert hash(a) == hash((s, (s,), status, (s,), None, None))
+    assert repr(a) == (
+        f"VerseScansion(chosen={s!r}, admissible=({s!r},), "
+        f"status=<ScanStatus.WARN_NO_CAESURA: 'warn-no-caesura'>, "
+        f"final_states=({s!r},), unknown_key=None, best_rejected=None)")
+    unknown = VerseScansion(None, (), ScanStatus.FAIL_UNKNOWN_WORD,
+                            unknown_key="x")
+    assert repr(unknown) == (
+        "VerseScansion(chosen=None, admissible=(), "
+        "status=<ScanStatus.FAIL_UNKNOWN_WORD: 'fail-unknown-word'>, "
+        "final_states=(), unknown_key='x', best_rejected=None)")
+    assert unknown == VerseScansion(None, (), ScanStatus.FAIL_UNKNOWN_WORD,
+                                    (), "x", None)
+    assert unknown != VerseScansion(None, (), ScanStatus.FAIL_UNKNOWN_WORD)
+    assert a != (s, (s,), status, (s,), None, None)
+    (mark,) = s.accents
+    assert mark != (1, True, True, 0) and hash(mark) == hash((1, True, True, 0))
 ASPRA = WordAnalysis(("a", "spra"), (-1,), P(1), P(1))
 DI = WordAnalysis(("di",), (0,), P(0), P(1))
 

@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +118,20 @@ def test_equal_tokens_hash_equal():
     assert len({*a, *b}) == len(a)
 
 
+def test_tokens_are_values_of_their_seven_fields():
+    fields = (TokenKind.WORD, "«Tant’", True, "Tant’", "tant’", "«", "")
+    tok = Token(*fields[:6])
+    assert repr(tok) == (
+        "Token(kind=<TokenKind.WORD: 'word'>, surface='«Tant’', "
+        "space_before=True, word='Tant’', key='tant’', lead='«', trail='')")
+    assert tok == Token(*fields) and hash(tok) == hash(fields)
+    assert tok != fields and fields != tok
+    assert tok.__eq__(fields) is NotImplemented
+    assert tok != Token(TokenKind.PUNCT, *fields[1:])
+    assert Token(TokenKind.PUNCT, ",", False) == \
+        Token(TokenKind.PUNCT, ",", False, "", "", "", "")
+
+
 # letters of both cases, with and without accents, apostrophes and their
 # look-alikes, the left quote, trailing punctuation and opening marks
 MIXED_LETTERS = "abcelmnoqrsuvzàèéìòùïëAEIOSTÈÉÒÙÏ"
@@ -141,5 +153,9 @@ def test_front_end_matches_reference(line):
     normalized = normalize_line(line)
     assert normalized == oracle.normalize_line(line)
     for text in (normalized, line):
-        got = [astuple(t) for t in tokenize(text)]
-        assert got == [astuple(t) for t in oracle.tokenize(text)]
+        got = [token_fields(t) for t in tokenize(text)]
+        assert got == [token_fields(t) for t in oracle.tokenize(text)]
+
+
+def token_fields(t):
+    return (t.kind, t.surface, t.space_before, t.word, t.key, t.lead, t.trail)
