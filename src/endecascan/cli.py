@@ -36,10 +36,19 @@ def _fail(message: str) -> int:
     return EXIT_FATAL
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; another file is an OSError that names it."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                      f"{exc.start})") from None
+
+
 def load_default_lexicon() -> Lexicon:
     env = os.environ.get("ENDECASCAN_LEXICON")
     if env:
-        return parse_lexicon(Path(env).read_text("utf-8"))
+        return parse_lexicon(_read_text(env))
     text = resources.files("endecascan").joinpath("data", "seed.lex").read_text("utf-8")
     return parse_lexicon(text)
 
@@ -47,7 +56,7 @@ def load_default_lexicon() -> Lexicon:
 def _load_lexicon(path: str | None) -> Lexicon:
     if path is None:
         return load_default_lexicon()
-    return parse_lexicon(Path(path).read_text("utf-8"))
+    return parse_lexicon(_read_text(path))
 
 
 def _cmd_scan(args) -> int:
@@ -116,10 +125,10 @@ def _cmd_corpus(args) -> int:
 def _cmd_lex_build(args) -> int:
     from . import seedlex, wordrules
     try:
-        cfg = (wordrules.load_rule_config(Path(args.rules).read_text("utf-8"))
+        cfg = (wordrules.load_rule_config(_read_text(args.rules))
                if args.rules else wordrules.default_config())
         # keyed as the tokenizer keys them: no punctuation, no capitals
-        words = [token.key for w in Path(args.words).read_text("utf-8").split()
+        words = [token.key for w in _read_text(args.words).split()
                  if not w.startswith("#")
                  for token in word_tokens(tokenize(normalize_line(w)))]
         lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
@@ -131,7 +140,7 @@ def _cmd_lex_build(args) -> int:
 
 def _cmd_lex_check(args) -> int:
     try:
-        lex = parse_lexicon(Path(args.file).read_text("utf-8"))
+        lex = parse_lexicon(_read_text(args.file))
     except OSError as exc:
         return _fail(str(exc))
     except LexiconError as exc:
@@ -147,9 +156,9 @@ def _scan_records(args):
     file must match exactly, the bundled one where it can."""
     from . import corpus
     lex = _load_lexicon(args.lexicon)
-    doc = corpus.parse_corpus(Path(args.infile).read_text("utf-8"))
+    doc = corpus.parse_corpus(_read_text(args.infile))
     if args.amendments:
-        amendments = Path(args.amendments).read_text("utf-8")
+        amendments = _read_text(args.amendments)
     else:
         amendments = resources.files("endecascan").joinpath(
             "data", "amendments.tsv").read_text("utf-8")

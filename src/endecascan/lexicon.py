@@ -76,15 +76,18 @@ class Propensity(Value):
 
     value is a probability in [0, 1]; the sentinel value 2 marks an
     apostrophe, which melds with any partner that admits a synalephe
-    at all.  A value; never assign to one.
+    at all.  Its text, as `str` gives it, is made once; it is not a
+    field.  A value; never assign to one.
     """
 
-    __slots__ = _fields = ("value",)
+    _fields = ("value",)
+    __slots__ = _fields + ("_text",)
 
     def __init__(self, value: float):
         if not (0.0 <= value <= 1.0 or value == APOSTROPHE_VALUE):
             raise LexiconValidationError(f"propensity out of range: {value!r}")
         self.value = value
+        self._text = "A" if value == APOSTROPHE_VALUE else repr(value)
 
     @property
     def is_apostrophe(self) -> bool:
@@ -101,7 +104,7 @@ class Propensity(Value):
         return cls(APOSTROPHE_VALUE)
 
     def __str__(self) -> str:
-        return "A" if self.is_apostrophe else repr(self.value)
+        return self._text
 
 
 PROB_ZERO = Propensity(0.0)
@@ -185,9 +188,6 @@ class Lexicon(Value):
             return self.entries[key]
         except KeyError:
             raise UnknownWord(key) from None
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
 
     def is_stress_eligible(self, key: str) -> bool:
         return key not in self.stress_ineligible

@@ -8,13 +8,13 @@ forks: one branch melds the boundary syllables (weighted by the meld
 probability), the other keeps them apart.
 
 States form a back-pointer trellis: each one points to the state it
-extends and to the word step that extended it, a record built once per
-(word, analysis) and shared by every state that reads it.  The rendered
-syllabification, the per-word meld flags and the accent marks are read
-off that chain only when asked for.  A state's text is its parent's
-text plus its step's piece, kept once built, so the readings of a verse
-share the text of their common prefix and each node's text is built at
-most once.
+extends, to the lexicon analysis of the word that extended it and to
+that word's token, index and eligibility, a tuple shared by every state
+the word extends.  The rendered syllabification, the per-word meld flags
+and the accent marks are read off that chain only when asked for.  A
+state's text is its parent's text plus its word's piece, rendered and
+kept when first read, so the readings of a verse share the text of their
+common prefix and each node's text is built at most once.
 
 Metric constraints prune the candidate space: a stress on the tenth
 syllable is mandatory, a stress on the fourth or sixth is preferred,
@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable
 
 from .lexicon import (APOSTROPHE_VALUE, PROB_ZERO, Lexicon, Propensity,
-                      UnknownWord, Value, WordAnalysis)
+                      Value, WordAnalysis)
 from .tokenizer import Token, word_tokens
 
 TENTH = 10
@@ -69,39 +69,18 @@ class AccentMark(Value):
         self.eligible, self.word_index = eligible, word_index
 
 
-class _Step:
-    """One analysis of one word, as every state it extends reads it."""
-
-    __slots__ = ("n", "weight", "p_l", "p_r", "offsets", "primary",
-                 "eligible", "index", "melded", "apart", "opening")
-
-    def __init__(self, token: Token, analysis: WordAnalysis, index: int,
-                 eligible: bool):
-        self.n = analysis.n
-        self.weight = analysis.weight
-        self.p_l = analysis.p_l
-        self.p_r = analysis.p_r
-        self.offsets = analysis.accents
-        self.primary = analysis.accents[0]
-        self.eligible = eligible
-        self.index = index
-        # the word's rendered text with its own punctuation, after a
-        # melded junction, after a separate one and at the very start
-        lead = token.lead
-        if token.word == analysis.form:
-            body = analysis.rendered
-        else:  # e.g. a capitalised word: cut its own letters
-            body = "|".join(split_surface(token.word, analysis))
-        body += token.trail
-        self.melded = lead + " " + body
-        self.apart = lead + " |" + body
-        self.opening = self.apart if lead else "|" + body
-
-
-def _append_word(text: str, step: _Step, melded: bool) -> str:
-    if melded:
-        return text + step.melded
-    return text + (step.apart if text else step.opening)
+def _append_word(text: str, node: ScanState) -> str:
+    token = node._word[0]
+    analysis = node._analysis
+    if token.word == analysis.form:
+        body = analysis.rendered
+    else:  # e.g. a capitalised word: cut its own letters
+        body = "|".join(split_surface(token.word, analysis))
+    if node._melded:
+        sep = " "
+    else:
+        sep = " |" if text or token.lead else "|"
+    return f"{text}{token.lead}{sep}{body}{token.trail}"  # one allocation
 
 
 # allocates a state without running __init__: advance sets every slot
@@ -115,8 +94,8 @@ class ScanState(Value):
     The slots hold what the search and the ranking read.  A state built
     by the constructor is a root: it holds its text and any meld flags
     and accents given outright.  A state built by `advance` is a chain
-    node: it points to the state it extends (`_parent`), to the word
-    step that extended it and to whether that word melded.  `text`,
+    node: it points to the state it extends (`_parent`), to the analysis
+    and the word that extended it and to whether that word melded.  `text`,
     `melds` and `accents` read the same either way; with the public
     slots they are the state's value.  States are values; never assign
     to one.
@@ -126,7 +105,8 @@ class ScanState(Value):
                "a10", "accent10_word_index", "melds", "accents", "order")
     __slots__ = ("likelihood", "count", "pending_p_r", "a4", "a6", "a10",
                  "accent10_word_index", "order",
-                 "_parent", "_step", "_melded",  # chain nodes
+                 # chain nodes; _word is (token, token index, stress-eligible)
+                 "_parent", "_analysis", "_word", "_melded",
                  "_text",  # None on a chain node until its text is read
                  "_prefix")  # roots
 
@@ -173,7 +153,7 @@ class ScanState(Value):
                 node = node._parent
                 text = node._text
             for node in reversed(unbuilt):
-                text = _append_word(text, node._step, node._melded)
+                text = _append_word(text, node)
                 node._text = text
         return text
 
@@ -187,17 +167,13 @@ class ScanState(Value):
         root, links = self._chain()
         marks = list(root._prefix[1])
         for link in links:
-            step = link._step
+            _, index, eligible = link._word
+            offsets = link._analysis.accents
+            primary = offsets[0]
             # a word's accents land at offsets from the count after it
-            marks += (AccentMark(link.count + o, o == step.primary,
-                                 step.eligible, step.index)
-                      for o in step.offsets)
+            marks += (AccentMark(link.count + o, o == primary, eligible, index)
+                      for o in offsets)
         return tuple(marks)
-
-    @property
-    def syllables(self) -> list[str]:
-        # everything after the first bar; a leading chunk is punctuation
-        return self.text.split("|")[1:]
 
 
 class ScanStatus(Enum):
@@ -276,8 +252,10 @@ def advance(states: list[ScanState], token: Token,
     mass is conserved.  Accent bookkeeping and incremental pruning
     happen here.
     """
-    steps = [_Step(token, analysis, token_index, stress_eligible)
-             for analysis in analyses]
+    for analysis in analyses:
+        if len(analysis.form) != len(token.word):
+            split_surface(token.word, analysis)  # raises BadAnalysisError
+    word = (token, token_index, stress_eligible)  # shared by every successor
     pruning = cfg.incremental_pruning
     floor = cfg.likelihood_floor
     budget = cfg.max_total_syllables
@@ -285,13 +263,14 @@ def advance(states: list[ScanState], token: Token,
     order = 0
     for state in states:
         p_r = state.pending_p_r
-        for step in steps:
+        for analysis in analyses:
             # meld_probability's plain product, inlined for the common case
+            p_l = analysis.p_l
             if (p_r.value == APOSTROPHE_VALUE
-                    or step.p_l.value == APOSTROPHE_VALUE):
-                m = meld_probability(p_r, step.p_l)
+                    or p_l.value == APOSTROPHE_VALUE):
+                m = meld_probability(p_r, p_l)
             else:
-                m = p_r.value * step.p_l.value
+                m = p_r.value * p_l.value
             if m >= 1.0:
                 branches = _MELD_ONLY
             elif m <= 0.0:
@@ -299,17 +278,18 @@ def advance(states: list[ScanState], token: Token,
             else:
                 branches = ((True, m), (False, 1.0 - m))
             for melded, branch_p in branches:
-                likelihood = state.likelihood * step.weight * branch_p
-                count = state.count + step.n - (1 if melded else 0)
+                likelihood = state.likelihood * analysis.weight * branch_p
+                count = state.count + analysis.n - (1 if melded else 0)
                 a4, a6, a10 = state.a4, state.a6, state.a10
                 accent10_word = state.accent10_word_index
                 if stress_eligible:
                     # accents of ineligible words count nowhere
-                    if 4 - count in step.offsets:
+                    offsets = analysis.accents
+                    if 4 - count in offsets:
                         a4 = True
-                    if 6 - count in step.offsets:
+                    if 6 - count in offsets:
                         a6 = True
-                    if not a10 and count + step.primary == TENTH:
+                    if not a10 and count + offsets[0] == TENTH:
                         a10 = True
                         accent10_word = token_index
                 if pruning:
@@ -323,14 +303,15 @@ def advance(states: list[ScanState], token: Token,
                 node = _new_state(ScanState)
                 node.likelihood = likelihood
                 node.count = count
-                node.pending_p_r = step.p_r
+                node.pending_p_r = analysis.p_r
                 node.a4 = a4
                 node.a6 = a6
                 node.a10 = a10
                 node.accent10_word_index = accent10_word
                 node.order = order
                 node._parent = state
-                node._step = step
+                node._analysis = analysis
+                node._word = word
                 node._melded = melded
                 node._text = None
                 successors.append(node)
@@ -355,14 +336,16 @@ def finalize(states: list[ScanState], cfg: ScanConfig,
         best = max(states, key=lambda s: s.likelihood, default=None)
         return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, final,
                              best_rejected=best)
-    status = ScanStatus.WARN_NO_CAESURA
-    if cfg.prefer_a4_or_a6 and any(s.a4 or s.a6 for s in admissible):
-        admissible = [s for s in admissible if s.a4 or s.a6]
-        status = ScanStatus.OK
-    elif not cfg.prefer_a4_or_a6:
-        status = ScanStatus.OK
-    ranked = _rank(admissible, cfg.tie_epsilon)
-    return VerseScansion(ranked[0], tuple(ranked), status, final)
+    status = ScanStatus.OK
+    if cfg.prefer_a4_or_a6:
+        caesura = [s for s in admissible if s.a4 or s.a6]
+        if caesura:
+            admissible = caesura
+        else:
+            status = ScanStatus.WARN_NO_CAESURA
+    if len(admissible) > 1:
+        admissible = _rank(admissible, cfg.tie_epsilon)
+    return VerseScansion(admissible[0], tuple(admissible), status, final)
 
 
 def _rank(states: list[ScanState], eps: float) -> list[ScanState]:
@@ -387,15 +370,16 @@ def scan_verse(tokens: Iterable[Token], lex: Lexicon,
     words = word_tokens(tokens)
     if not words:
         return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
+    entries, ineligible = lex.entries, lex.stress_ineligible
     states = [ScanState()]
     for index, token in enumerate(words):
-        try:
-            analyses = lex.lookup(token.key)
-        except UnknownWord:
+        key = token.key
+        analyses = entries.get(key)
+        if analyses is None:
             return VerseScansion(None, (), ScanStatus.FAIL_UNKNOWN_WORD, (),
-                                 unknown_key=token.key)
+                                 unknown_key=key)
         states = advance(states, token, analyses, index,
-                         lex.is_stress_eligible(token.key), cfg)
+                         key not in ineligible, cfg)
         if not states:
             return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
     return finalize(states, cfg, len(words) - 1)

@@ -196,6 +196,47 @@ def test_corpus_with_explicit_amendments(capsys, tmp_path):
     assert "amendment" in err
 
 
+NOT_UTF8 = "Inferno: Canto I\n\nperché\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("env,argv", [
+    (False, ["scan", "--lexicon", "{bad}", VERSE]),
+    (True, ["scan", VERSE]),
+    (False, ["corpus", "--in", "{bad}", "--out", "{out}"]),
+    (False, ["corpus", "--lexicon", "{bad}", "--in", CANTO, "--out", "{out}"]),
+    (False, ["corpus", "--in", CANTO, "--out", "{out}", "--amendments", "{bad}"]),
+    (False, ["query", "--word", "tra", "--in", "{bad}"]),
+    (False, ["stats", "--in", "{bad}"]),
+    (False, ["lex", "check", "{bad}"]),
+    (False, ["lex", "build", "--words", "{bad}"]),
+    (False, ["lex", "build", "--words", CANTO, "--rules", "{bad}"]),
+], ids=["scan --lexicon", "ENDECASCAN_LEXICON", "corpus --in",
+        "corpus --lexicon", "corpus --amendments", "query --in", "stats --in",
+        "lex check", "lex build --words", "lex build --rules"])
+def test_a_file_that_is_not_utf8_is_named_and_fatal(capsys, monkeypatch,
+                                                    tmp_path, env, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(NOT_UTF8)
+    monkeypatch.setenv("ENDECASCAN_LEXICON", str(bad) if env else SEED)
+    argv = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"endecascan: {bad}: not UTF-8 text ")
+
+
+def test_an_amendment_verse_number_that_is_not_an_integer_is_fatal(capsys,
+                                                                   tmp_path):
+    amendments = tmp_path / "fix.tsv"
+    amendments.write_text("# cantica\tcanto\tline\nInferno\tI\tx\tselva\tselva\n",
+                          "utf-8")
+    code, out, err = run(capsys, "corpus", "--lexicon", SEED, "--in", CANTO,
+                         "--out", str(tmp_path / "out"),
+                         "--amendments", str(amendments))
+    assert (code, out) == (2, "")
+    assert err == "endecascan: amendment line 2: bad verse number 'x'\n"
+
+
 def test_query_subcommand(capsys):
     code, out, _ = run(capsys, "query", "--lexicon", SEED, "--word", "tra",
                        "--in", str(DATA / "inferno_i.txt"))

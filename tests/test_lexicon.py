@@ -169,6 +169,16 @@ def test_propensities_and_metric_tuples_are_values_of_their_fields():
     assert t != MetricTuple(P(0), 2, 0, P(1))
 
 
+def test_propensity_text_is_made_once_and_read_by_str_alone():
+    assert [str(P(x)) for x in (0.0, 0.2, 1.0)] == ["0.0", "0.2", "1.0"]
+    assert str(Propensity.apostrophe()) == "A"
+    p, q = P(0.2), P(0.2)
+    q._text = "changed"  # the text is not a field
+    assert p == q and hash(p) == hash(q) == hash((0.2,))
+    assert repr(q) == "Propensity(value=0.2)"
+    assert str(q) == "changed"
+
+
 def test_values_of_different_classes_never_compare_equal():
     p = P(0.5)
     assert p.__eq__((0.5,)) is NotImplemented

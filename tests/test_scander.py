@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from endecascan import scander
 from endecascan.lexicon import (PROB_ONE, PROB_ZERO, Propensity, WordAnalysis,
                                 build_lexicon)
-from endecascan.scander import (AccentMark, ScanConfig, ScanState, ScanStatus,
-                                VerseScansion, advance, finalize,
-                                meld_probability, scan_verse, split_surface)
+from endecascan.scander import (AccentMark, BadAnalysisError, ScanConfig,
+                                ScanState, ScanStatus, VerseScansion, advance,
+                                finalize, meld_probability, scan_verse,
+                                split_surface)
 from endecascan.tokenizer import (Token, TokenKind, normalize_line, tokenize,
                                   word_tokens)
-from test_acceptance import PERMISSIVE, verse_st
+from oracle import enumerate_states
+from test_acceptance import EXHAUSTIVE, PERMISSIVE, VERSE_WORDS, verse_st
 
 A = Propensity.apostrophe()
 
@@ -63,6 +66,40 @@ def test_scan_renders_capitalised_words_and_rejects_mismatched_analyses():
     for word in ("selva", "Selva"):
         with pytest.raises(ValueError, match="does not cover"):
             scan(word, bad)
+
+
+def test_advance_rejects_a_mismatched_analysis_before_any_successor():
+    bad = WordAnalysis(("sel", "v"), (-1,), P(0), P(1))
+    for states in ([], [ScanState()]):
+        for token in (word_token("selva"), word_token("Selva")):
+            with pytest.raises(BadAnalysisError, match="does not cover"):
+                advance(states, token, (bad,), 0, True, ScanConfig())
+
+
+# a word as a line may write it: capitalised or not, with an opening mark
+# before it and a closing or pausing mark after it
+marked_word_st = st.builds(
+    lambda word, capital, lead, trail:
+        lead + (word[0].upper() + word[1:] if capital else word) + trail,
+    st.sampled_from(VERSE_WORDS), st.booleans(),
+    st.sampled_from(["", "", "«", "“", "("]),
+    st.sampled_from(["", "", ",", ";", ".", "!", "?", "»"]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(words=st.lists(marked_word_st, min_size=1, max_size=6))
+def test_rendered_states_match_the_oracle(seed_lexicon, words):
+    tokens = tokenize(normalize_line(" ".join(words)))
+    engine = scan_verse(tokens, seed_lexicon, EXHAUSTIVE)
+    got = sorted((s.text, s.count, s.likelihood, s.a4, s.a6, s.a10)
+                 for s in engine.final_states)
+    want = sorted((d["text"], d["count"], d["likelihood"], d["a4"], d["a6"],
+                   d["a10"]) for d in enumerate_states(tokens, seed_lexicon))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:2] == w[:2] and g[3:] == w[3:], (g, w)
+        assert abs(g[2] - w[2]) <= 1e-12, (g, w)
 
 
 def test_equal_accent_marks_hash_equal():
