@@ -188,13 +188,15 @@ def parse_amendments(text: str) -> list[Amendment]:
         if len(fields) < 5:
             raise CorpusFormatError(f"amendment line {line_no}: expected 5+ fields")
         try:
-            verse_line = int(fields[2])
+            canto, verse_line = roman_to_int(fields[1]), int(fields[2])
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"amendment line {line_no}: {exc}") from None
         except ValueError:
             raise CorpusFormatError(f"amendment line {line_no}: bad verse "
                                     f"number {fields[2]!r}") from None
         note = fields[5] if len(fields) > 5 else ""
-        out.append(Amendment(fields[0], roman_to_int(fields[1]), verse_line,
-                             fields[3], fields[4], note))
+        out.append(Amendment(fields[0], canto, verse_line, fields[3], fields[4],
+                             note))
     return out
 
 

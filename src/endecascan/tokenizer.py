@@ -13,7 +13,8 @@ An apostrophe glued between two letters marks an elision boundary
 ("ch'io", "l'altre") and splits the compound into two word tokens; a
 leading apostrophe marks aphaeresis ("'l", "'mpediva") and stays attached
 to its word, as does a trailing one ("vid'", "de'").  A line with no
-U+2019 after normalization has no elision to split.
+U+2019 after normalization has no elision to split, and no line keeps a
+U+2018, so normalizing twice changes nothing.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ NO_SPLIT_WORDS = frozenset({"acco’lo", "entra’mi"})
 _PUNCT_OPEN = "«“(‘\""
 _SPLIT_RE = re.compile(r"(?<=[^\W\d_])’(?=[^\W\d_])", re.UNICODE)
 # a run of letters and apostrophes with at least one apostrophe between
-# letters: the only runs that an elision split can change
-_ELISION_RUN_RE = re.compile(r"[^\W\d_’]+(?:’[^\W\d_]+)+’?", re.UNICODE)
+# letters: the only runs that an elision split can change; anchored at a
+# run's first letter, so it scans in linear time
+_ELISION_RUN_RE = re.compile(r"(?<![^\W\d_])[^\W\d_’]+(?:’[^\W\d_]+)+’?",
+                             re.UNICODE)
 
 
 class TokenKind(Enum):
@@ -67,8 +70,9 @@ def normalize_line(line: str) -> str:
     """Apply the text normalizations expected by the scanner.
 
     - apostrophe look-alikes become U+2019;
-    - U+2018 before a letter is an aphaeresis apostrophe unless the line
-      closes the quote later (then the pair becomes double quotes);
+    - U+2018 opens a pair with the first closing apostrophe (one after a
+      non-letter) two or more characters on, and both become `"`; any
+      other U+2018, one inside a pair too, is `’` before a letter, else `"`;
     - an apostrophe glued between letters gains a following space, so
       elision compounds split into separate tokens ("ch'io" -> "ch' io");
     - whitespace collapses to single spaces.
@@ -94,62 +98,45 @@ def _split_elisions(match: re.Match) -> str:
 
 
 def _rewrite_open_quotes(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "‘":
-            rest = line[i + 1:]
-            if rest[:1].isalpha() and not _has_closing_quote(rest):
-                out.append(APOSTROPHE)  # quote glyph used for aphaeresis
-            else:
-                closer = _closing_quote_index(rest)
-                if closer is None:
-                    out.append('"')
-                else:
-                    out.append('"')
-                    out.append(rest[:closer])
-                    out.append('"')
-                    i += 1 + closer
+    # a closer is an apostrophe after a non-letter, e.g. "misericordes!’";
+    # one after a letter is a real apostrophe
+    closers = [k for k in range(1, len(line))
+               if line[k] == APOSTROPHE and not line[k - 1].isalpha()]
+    out = list(line)
+    nxt = 0  # the first closer not yet passed
+    close = -1  # the closer of the open pair
+    i = line.find("‘")
+    while i >= 0:
+        while nxt < len(closers) and closers[nxt] < i + 2:
+            nxt += 1
+        if i > close and nxt < len(closers):
+            close = closers[nxt]
+            out[i] = out[close] = '"'
         else:
-            out.append(ch)
-        i += 1
+            out[i] = APOSTROPHE if line[i + 1:i + 2].isalpha() else '"'
+        i = line.find("‘", i + 1)
     return "".join(out)
 
 
-def _has_closing_quote(rest: str) -> bool:
-    return _closing_quote_index(rest) is not None
-
-
-def _closing_quote_index(rest: str) -> int | None:
-    # a closing candidate is an apostrophe glyph preceded by a non-letter,
-    # e.g. "misericordes!'"; a letter-adjacent one is a real apostrophe
-    for j in range(1, len(rest)):
-        if rest[j] == APOSTROPHE and not rest[j - 1].isalpha():
-            return j
-    return None
-
-
 def _split_piece(piece: str) -> tuple[str, str, str]:
-    """Split one whitespace-delimited piece into (lead, word, trail)."""
+    """Split one whitespace-delimited piece into (lead, word, trail).
+
+    The word runs from the first letter to the last, with an apostrophe
+    just before it (aphaeresis) or just after it (elision).
+    """
     if piece[0].isalpha() and piece[-1].isalpha():
         return "", piece, ""
-    start = 0
-    while start < len(piece):
-        ch = piece[start]
-        if ch.isalpha():
-            break
-        if ch == APOSTROPHE and start + 1 < len(piece) and piece[start + 1].isalpha():
-            break  # aphaeresis apostrophe belongs to the word
+    start, end = 0, len(piece)
+    while start < end and not piece[start].isalpha():
         start += 1
-    end = len(piece)
-    while end > start:
-        ch = piece[end - 1]
-        if ch.isalpha():
-            break
-        if ch == APOSTROPHE and end - 1 > start and piece[end - 2].isalpha():
-            break  # trailing elision apostrophe belongs to the word
+    while end > start and not piece[end - 1].isalpha():
         end -= 1
+    if start == end:
+        return piece, "", ""
+    if start and piece[start - 1] == APOSTROPHE:
+        start -= 1
+    if piece[end:end + 1] == APOSTROPHE:
+        end += 1
     return piece[:start], piece[start:end], piece[end:]
 
 

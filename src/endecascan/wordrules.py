@@ -119,17 +119,26 @@ def load_rule_config(text: str) -> RuleConfig:
         elif key == "probabilistic":
             if len(args) != 3:
                 raise WordRuleError(f"line {line_no}: expected word, p_l, p_r")
-            prob[args[0].lower()] = (float(args[1]), float(args[2]))
+            prob[args[0].lower()] = (_number(line_no, key, args, 1),
+                                     _number(line_no, key, args, 2))
         elif key == "hiatus":
             hiatus.update(a.lower() for a in args)
         elif key == "accented-final-p-r":
-            settings["accented_final_default_p_r"] = float(args[0])
+            settings["accented_final_default_p_r"] = _number(line_no, key, args, 0)
         elif key == "diphthong-p":
-            settings["diphthong_boundary_p"] = float(args[0])
+            settings["diphthong_boundary_p"] = _number(line_no, key, args, 0)
         else:
             raise WordRuleError(f"line {line_no}: unknown setting {key!r}")
     return replace(cfg, probabilistic_monosyllables=prob,
                    hiatus_exception_words=frozenset(hiatus), **settings)
+
+
+def _number(line_no: int, key: str, args: list[str], index: int) -> float:
+    try:
+        return float(args[index])
+    except (ValueError, IndexError):
+        raise WordRuleError(f"line {line_no}: {key} needs a number, got "
+                            f"{args!r}") from None
 
 
 def _is_vowel(ch: str) -> bool:

@@ -237,6 +237,38 @@ def test_an_amendment_verse_number_that_is_not_an_integer_is_fatal(capsys,
     assert err == "endecascan: amendment line 2: bad verse number 'x'\n"
 
 
+@pytest.mark.parametrize("row,message", [
+    ("probabilistic\tx\tabc\t0.1",
+     "line 2: probabilistic needs a number, got ['x', 'abc', '0.1']"),
+    ("diphthong-p\tabc", "line 2: diphthong-p needs a number, got ['abc']"),
+    ("accented-final-p-r", "line 2: accented-final-p-r needs a number, got []"),
+], ids=["probabilistic", "diphthong-p", "accented-final-p-r"])
+def test_a_rule_setting_that_is_not_a_number_is_fatal(capsys, tmp_path, row,
+                                                      message):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text(f"hiatus\tqua\n{row}\n", "utf-8")
+    code, out, err = run(capsys, "lex", "build", "--words", CANTO,
+                         "--rules", str(rules))
+    assert (code, out) == (2, "")
+    assert err == f"endecascan: {message}\n"
+
+
+@pytest.mark.parametrize("numeral,message", [
+    ("Q", "bad roman numeral 'Q'"),
+    ("IIII", "non-canonical roman numeral 'IIII'"),
+], ids=["bad", "non-canonical"])
+def test_an_amendment_canto_numeral_error_names_its_line(capsys, tmp_path,
+                                                         numeral, message):
+    amendments = tmp_path / "fix.tsv"
+    amendments.write_text(f"Inferno\tI\t1\tselva\tselva\n"
+                          f"Inferno\t{numeral}\t1\tselva\tselva\n", "utf-8")
+    code, out, err = run(capsys, "corpus", "--lexicon", SEED, "--in", CANTO,
+                         "--out", str(tmp_path / "out"),
+                         "--amendments", str(amendments))
+    assert (code, out) == (2, "")
+    assert err == f"endecascan: amendment line 2: {message}\n"
+
+
 def test_query_subcommand(capsys):
     code, out, _ = run(capsys, "query", "--lexicon", SEED, "--word", "tra",
                        "--in", str(DATA / "inferno_i.txt"))

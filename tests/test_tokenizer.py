@@ -1,3 +1,6 @@
+import time
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -151,7 +154,14 @@ raw_line_st = st.lists(fragment_st, max_size=16).map("".join)
 @given(raw_line_st)
 def test_front_end_matches_reference(line):
     normalized = normalize_line(line)
-    assert normalized == oracle.normalize_line(line)
+    expected = oracle.normalize_line(line)
+    if oracle.normalize_line(expected) == expected:
+        assert normalized == expected
+    else:
+        # the reference leaves a U+2018 inside a quote pair to a second
+        # pass; the front end decides it in the first
+        assert "‘" not in normalized
+        assert normalize_line(normalized) == normalized
     for text in (normalized, line):
         got = [token_fields(t) for t in tokenize(text)]
         assert got == [token_fields(t) for t in oracle.tokenize(text)]
@@ -159,3 +169,40 @@ def test_front_end_matches_reference(line):
 
 def token_fields(t):
     return (t.kind, t.surface, t.space_before, t.word, t.key, t.lead, t.trail)
+
+
+# every mark of the reference sampler one at a time, with digits, numerics
+# that are not letters, underscores and tabs; quote glyphs drawn often
+wide_line_st = st.lists(st.sampled_from(
+    list(MIXED_LETTERS) + APOSTROPHES + PUNCT_POOL + OPENERS
+    + list("”)0123456789¹½_\t ")) | st.sampled_from(["‘", "’", "'", " "]),
+    max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(wide_line_st, raw_line_st))
+def test_normalize_is_idempotent_on_any_line(line):
+    once = normalize_line(line)
+    assert "‘" not in once
+    assert normalize_line(once) == once
+
+
+def test_a_quote_left_inside_a_pair_is_decided_in_one_pass():
+    assert normalize_line("‘‘'") == '"""'
+    assert normalize_line("‘x ‘mpaccia !’") == '"x ’mpaccia !"'
+
+
+@pytest.mark.parametrize("line", ["‘" * 20_000, "‘a" * 10_000,
+                                  "a" * 20_000 + "’"],
+                         ids=["left-quotes", "left-quote-letter-pairs",
+                              "letters-then-apostrophe"])
+def test_front_end_is_linear_on_long_lines(line):
+    start = time.perf_counter()
+    tokenize(normalize_line(line))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_numeric_mark_after_a_word_is_its_trail():
+    # str.isalpha is the letter test: a footnote mark is not part of a word
+    assert [token_fields(t) for t in tokenize("cammin¹")] == [
+        (TokenKind.WORD, "cammin¹", False, "cammin", "cammin", "", "¹")]
