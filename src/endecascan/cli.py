@@ -22,18 +22,14 @@ from pathlib import Path
 
 # corpus, analysis, seedlex and wordrules are imported inside the commands
 # that use them, so that `scan` and `lex check` start without them
-from .lexicon import Lexicon, LexiconError, parse_lexicon, serialize_lexicon
+from .lexicon import (InputError, Lexicon, LexiconError, parse_lexicon,
+                      serialize_lexicon)
 from .scander import ScanConfig, ScanStatus, scan_verse
 from .tokenizer import normalize_line, tokenize, word_tokens
 
 EXIT_OK = 0
 EXIT_VERSE_FAILURES = 1
 EXIT_FATAL = 2
-
-
-def _fail(message: str) -> int:
-    print(f"endecascan: {message}", file=sys.stderr)
-    return EXIT_FATAL
 
 
 def _read_text(path: str) -> str:
@@ -60,10 +56,7 @@ def _load_lexicon(path: str | None) -> Lexicon:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-    except (OSError, LexiconError) as exc:
-        return _fail(str(exc))
+    lex = _load_lexicon(args.lexicon)
     tokens = tokenize(normalize_line(args.verse))
     result = scan_verse(tokens, lex, ScanConfig())
     if result.status is ScanStatus.FAIL_UNKNOWN_WORD:
@@ -105,12 +98,8 @@ def _cmd_corpus(args) -> int:
                 unknown.add(record.scansion.unknown_key)
             yield record
 
-    try:
-        records = _scan_records(args)
-        paths = corpus.write_outputs(tally(records), args.out, Path(args.infile).stem)
-    except (OSError, LexiconError, corpus.CorpusFormatError,
-            corpus.AmendmentMismatch) as exc:
-        return _fail(str(exc))
+    records = _scan_records(args)
+    paths = corpus.write_outputs(tally(records), args.out, Path(args.infile).stem)
     n = sum(statuses.values())
     ok, anomalies = statuses[ScanStatus.OK], statuses[ScanStatus.WARN_NO_CAESURA]
     print(f"scanned {n} verses: {ok} ok, "
@@ -124,25 +113,21 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_lex_build(args) -> int:
     from . import seedlex, wordrules
-    try:
-        cfg = (wordrules.load_rule_config(_read_text(args.rules))
-               if args.rules else wordrules.default_config())
-        # keyed as the tokenizer keys them: no punctuation, no capitals
-        words = [token.key for w in _read_text(args.words).split()
-                 if not w.startswith("#")
-                 for token in word_tokens(tokenize(normalize_line(w)))]
-        lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
-    except (OSError, LexiconError, wordrules.WordRuleError) as exc:
-        return _fail(str(exc))
+    cfg = (wordrules.load_rule_config(_read_text(args.rules))
+           if args.rules else wordrules.default_config())
+    # keyed as the tokenizer keys them: no punctuation, no capitals
+    words = [token.key for w in _read_text(args.words).split()
+             if not w.startswith("#")
+             for token in word_tokens(tokenize(normalize_line(w)))]
+    lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
     sys.stdout.write(serialize_lexicon(lex))
     return EXIT_OK
 
 
 def _cmd_lex_check(args) -> int:
+    text = _read_text(args.file)
     try:
-        lex = parse_lexicon(_read_text(args.file))
-    except OSError as exc:
-        return _fail(str(exc))
+        lex = parse_lexicon(text)
     except LexiconError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_VERSE_FAILURES
@@ -168,23 +153,16 @@ def _scan_records(args):
 
 
 def _cmd_query(args) -> int:
-    from . import analysis, corpus
-    try:
-        records = _scan_records(args)
-    except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
-        return _fail(str(exc))
-    occurrences = analysis.classify_word(args.word.lower(), records)
+    from . import analysis
+    occurrences = analysis.classify_word(args.word.lower(), _scan_records(args))
     sys.stdout.write(analysis.occurrences_tsv(occurrences))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    from . import analysis, corpus
-    try:
-        records = _scan_records(args)
-    except (OSError, LexiconError, corpus.CorpusFormatError) as exc:
-        return _fail(str(exc))
-    histogram = analysis.pattern_histogram(records, include_secondary=args.secondary)
+    from . import analysis
+    histogram = analysis.pattern_histogram(_scan_records(args),
+                                           include_secondary=args.secondary)
     sys.stdout.write(analysis.histogram_tsv(histogram))
     return EXIT_OK
 
@@ -240,7 +218,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_FATAL if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, InputError) as exc:
+        print(f"endecascan: {exc}", file=sys.stderr)
+        return EXIT_FATAL
 
 
 if __name__ == "__main__":

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .lexicon import Lexicon
-from .scander import (BadAnalysisError, ScanConfig, ScanStatus, VerseScansion,
-                      scan_verse)
+from .lexicon import InputError, Lexicon
+from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
 from .tokenizer import Token, normalize_line, reconstruct, tokenize
 
 _HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
@@ -25,11 +24,11 @@ _HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
 _ROMAN = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
 
 
-class CorpusFormatError(Exception):
+class CorpusFormatError(InputError):
     pass
 
 
-class AmendmentMismatch(Exception):
+class AmendmentMismatch(InputError):
     def __init__(self, amendment: "Amendment", found: str | None):
         where = f"{amendment.cantica} {amendment.canto},{amendment.line}"
         super().__init__(
@@ -202,17 +201,14 @@ def parse_amendments(text: str) -> list[Amendment]:
 
 def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
                  cfg: ScanConfig | None = None) -> Iterator[VerseRecord]:
-    """Scan the verses one at a time; failures, a bad analysis among
-    them, are recorded in each record's status, not raised."""
+    """Scan the verses one at a time; failures are recorded in each
+    record's status, not raised."""
     cfg = cfg or ScanConfig()
     for verse in doc:
         normalized = normalize_line(verse.text)
         tokens = tuple(tokenize(normalized))
-        try:
-            scansion = scan_verse(tokens, lex, cfg)
-        except BadAnalysisError:
-            scansion = VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS)
-        yield VerseRecord(verse[:3], normalized, tokens, scansion)
+        yield VerseRecord(verse[:3], normalized, tokens,
+                          scan_verse(tokens, lex, cfg))
 
 
 def scan_document(doc: tuple[Verse, ...], lex: Lexicon,

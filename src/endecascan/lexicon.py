@@ -27,7 +27,12 @@ WEIGHT_TOLERANCE = 1e-9
 APOSTROPHE_VALUE = 2.0
 
 
-class LexiconError(Exception):
+class InputError(Exception):
+    """Base of every error that makes an input unusable as a whole; the
+    command line reports one as a single line and exits 2."""
+
+
+class LexiconError(InputError):
     pass
 
 

@@ -365,7 +365,8 @@ def _rank(states: list[ScanState], eps: float) -> list[ScanState]:
 
 def scan_verse(tokens: Iterable[Token], lex: Lexicon,
                cfg: ScanConfig | None = None) -> VerseScansion:
-    """Scan one tokenized verse against a lexicon."""
+    """Scan one tokenized verse against a lexicon; an analysis that does
+    not spell its word fails the verse, as FAIL_BAD_ANALYSIS."""
     cfg = cfg or ScanConfig()
     words = word_tokens(tokens)
     if not words:
@@ -378,8 +379,11 @@ def scan_verse(tokens: Iterable[Token], lex: Lexicon,
         if analyses is None:
             return VerseScansion(None, (), ScanStatus.FAIL_UNKNOWN_WORD, (),
                                  unknown_key=key)
-        states = advance(states, token, analyses, index,
-                         key not in ineligible, cfg)
+        try:
+            states = advance(states, token, analyses, index,
+                             key not in ineligible, cfg)
+        except BadAnalysisError:
+            return VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS, ())
         if not states:
             return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
     return finalize(states, cfg, len(words) - 1)

@@ -9,13 +9,13 @@ always wins over rule output.
 
 from __future__ import annotations
 
-import warnings
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .lexicon import (PROB_ONE, PROB_ZERO, LexiconValidationError, Propensity,
-                      WordAnalysis)
+from .lexicon import (PROB_ONE, PROB_ZERO, InputError, LexiconValidationError,
+                      Propensity, WordAnalysis)
 from .tokenizer import APOSTROPHE
 
 STRONG_VOWELS = set("aeoàèéòóâêô")
@@ -57,7 +57,7 @@ PROBABILISTIC_MONOSYLLABLES: Mapping[str, tuple[float, float]] = {
 }
 
 
-class WordRuleError(Exception):
+class WordRuleError(InputError):
     pass
 
 
@@ -134,11 +134,16 @@ def load_rule_config(text: str) -> RuleConfig:
 
 
 def _number(line_no: int, key: str, args: list[str], index: int) -> float:
+    """args[index] as a probability in [0, 1]."""
     try:
-        return float(args[index])
+        value = float(args[index])
     except (ValueError, IndexError):
         raise WordRuleError(f"line {line_no}: {key} needs a number, got "
                             f"{args!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise WordRuleError(f"line {line_no}: {key} value {args[index]!r} "
+                            "outside [0, 1]")
+    return value
 
 
 def _is_vowel(ch: str) -> bool:
@@ -263,8 +268,8 @@ def split_syllables(form: str, cfg: RuleConfig | None = None) -> list[str]:
     hiatus_word = form.lower() in cfg.hiatus_exception_words
     nuclei = _nuclei(form, hiatus_word)
     if not nuclei:
-        warnings.warn(f"no vowel in {form!r}, treating as one syllable",
-                      stacklevel=2)
+        print(f"endecascan: no vowel in {form!r}, treating as one syllable",
+              file=sys.stderr)
         return [form]
     boundaries = [0]
     for k in range(len(nuclei) - 1):

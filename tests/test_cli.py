@@ -242,7 +242,16 @@ def test_an_amendment_verse_number_that_is_not_an_integer_is_fatal(capsys,
      "line 2: probabilistic needs a number, got ['x', 'abc', '0.1']"),
     ("diphthong-p\tabc", "line 2: diphthong-p needs a number, got ['abc']"),
     ("accented-final-p-r", "line 2: accented-final-p-r needs a number, got []"),
-], ids=["probabilistic", "diphthong-p", "accented-final-p-r"])
+    # a number outside [0, 1] names its line too
+    ("diphthong-p\tnan", "line 2: diphthong-p value 'nan' outside [0, 1]"),
+    ("accented-final-p-r\t5",
+     "line 2: accented-final-p-r value '5' outside [0, 1]"),
+    ("diphthong-p\t-1", "line 2: diphthong-p value '-1' outside [0, 1]"),
+    # qua is also never-synalephe: the value is checked first
+    ("probabilistic\tqua\t1.5\t0.1",
+     "line 2: probabilistic value '1.5' outside [0, 1]"),
+], ids=["probabilistic", "diphthong-p", "accented-final-p-r", "nan", "above",
+        "below", "probabilistic out of range"])
 def test_a_rule_setting_that_is_not_a_number_is_fatal(capsys, tmp_path, row,
                                                       message):
     rules = tmp_path / "rules.cfg"
@@ -251,6 +260,15 @@ def test_a_rule_setting_that_is_not_a_number_is_fatal(capsys, tmp_path, row,
                          "--rules", str(rules))
     assert (code, out) == (2, "")
     assert err == f"endecascan: {message}\n"
+
+
+def test_lex_build_notes_a_word_with_no_vowel_in_one_line(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("pss selva pss\n", "utf-8")
+    code, out, err = run(capsys, "lex", "build", "--words", str(words))
+    assert code == 0
+    assert "pss\t1.0\t0.0\t0.0\tpss\t0" in out
+    assert err == "endecascan: no vowel in 'pss', treating as one syllable\n"
 
 
 @pytest.mark.parametrize("numeral,message", [
@@ -360,6 +378,23 @@ def test_corpus_contains_a_bad_analysis_to_its_verse(capsys, monkeypatch,
     assert "\n?? mi ritrovai per una selva oscura,\n" in syl
 
 
+def test_scan_fails_a_bad_analysis_as_corpus_does(capsys, tmp_path):
+    # a valid row whose key is "İ" lowered, two characters for the
+    # one-character "İ" of the verse
+    lex = tmp_path / "dotted.lex"
+    lex.write_text("i\u0307\t1\t1.0\t1.0\ti\u0307\t0\n", "utf-8")
+    assert run(capsys, "lex", "check", str(lex))[0] == 0
+    code, out, err = run(capsys, "scan", "--lexicon", str(lex), "İ")
+    assert (code, out, err) == (1, "", "endecascan: no admissible scansion\n")
+    src = tmp_path / "dotted.txt"
+    src.write_text("Inferno: Canto I\n\nİ\n", "utf-8")
+    code, out, _ = run(capsys, "corpus", "--lexicon", str(lex), "--in", str(src),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    rows = (tmp_path / "out" / "dotted.report.tsv").read_text("utf-8")
+    assert rows.splitlines()[1].split("\t")[8] == "fail-bad-analysis"
+
+
 def run_fresh(cwd, script):
     """Run the command line in a new interpreter, so no module is loaded yet."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -384,6 +419,20 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
     for name in ("corpus", "analysis", "seedlex", "wordrules"):
         assert f"endecascan.{name}" not in modules
     assert "dataclasses" not in modules and "inspect" not in modules
+
+
+def test_fatal_errors_of_lazily_loaded_modules_from_a_fresh_process(tmp_path):
+    (tmp_path / "fix.tsv").write_text("Inferno\tQ\t1\tselva\tselva\n", "utf-8")
+    (tmp_path / "rules.cfg").write_text("diphthong-p\t5\n", "utf-8")
+    for argv, message in [
+            (["corpus", "--in", CANTO, "--out", "out", "--amendments", "fix.tsv"],
+             "amendment line 1: bad roman numeral 'Q'"),
+            (["lex", "build", "--words", CANTO, "--rules", "rules.cfg"],
+             "line 1: diphthong-p value '5' outside [0, 1]")]:
+        proc = run_fresh(tmp_path, "import sys\nfrom endecascan.cli import main\n"
+                                   f"sys.exit(main({argv!r}))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"endecascan: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,123 @@
+"""Every command ends every input in a documented outcome.
+
+Exit 0 or 1, or exit 2 with nothing on stdout and an `endecascan:` line
+last on stderr; never an exception that escapes `main`.  The files are
+generated: corpora with canto headers, tabs, Roman numerals and U+2018,
+lexicon, amendment and rule files with bad rows among good ones, and
+now and then a byte that is not UTF-8.
+"""
+
+import contextlib
+import io
+import pathlib
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from endecascan.cli import main
+
+SEED_TEXT = (pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
+             / "seed.lex").read_text("utf-8")
+
+# what a line is made of: lexicon words, capitals, unknown and vowelless
+# words, marks, numerals; "İ" lowers to two characters
+PIECES = ["İ", "nel", "mezzo", "del", "cammin", "di", "nostra", "vita",
+          "selva", "oscura", "e", "a", "o", "che", "la", "tra", "Selva", "E",
+          "xyzzy", "pss", "l’", "d’", "ch’", "‘", "’", "'", "«", "»", ",", ".",
+          "I", "XX", "IIII", "Canto", ":"]
+SEPARATORS = [" ", " ", " ", "", "\t", "  "]
+
+# rows every generated lexicon has, and rows that make a lexicon invalid
+GOOD_LEXICON_ROWS = [
+    "i\u0307\t1\t1.0\t1.0\ti\u0307\t0",  # valid, but "İ" is one character
+    "xyzzy\t1\tA\tA\txyz|zy\t-1", "@stress-ineligible\te\ta", "# comment",
+]
+BAD_LEXICON_ROWS = [
+    "selva\t1\t0\t1\tsel|v\t-1",  # does not spell its key
+    "x\t0.5\t0\t1\tx\t0", "Selva\t1\t0\t1\tSel|va\t-1", "a\t1\t2\t0\ta\t0",
+    "vita\t1\tnan\t1\tvi|ta\t-1", "vita\t1\t0\t1\tvi|ta\t-1,-1",
+    "vita\t1\t0\t1\tvi|ta\tx", "bad",
+]
+
+RULE_ROWS = [
+    "never-synalephe\tbe\tqua", "probabilistic\tqua\t0.5\t0.25",
+    "probabilistic\tx\t1.5\t0.1", "probabilistic\tx", "hiatus\tpaura",
+    "accented-final-p-r\t5", "accented-final-p-r\tnan", "diphthong-p\t-1",
+    "diphthong-p\t0.3", "bogus\t1", "# comment", "",
+]
+
+verse_st = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)),
+                    max_size=10).map(lambda pairs: "".join(p + s for p, s in pairs))
+header_st = st.builds("{}: Canto {}".format,
+                      st.sampled_from(["Inferno", "PURGATORIO", "Paradiso"]),
+                      st.sampled_from(["I", "II", "XX"] * 3 + ["IIII", "MMMM", "Q"]))
+corpus_st = st.builds(
+    lambda header, lines: "\n".join([header, *lines]), header_st,
+    st.lists(st.one_of(verse_st, verse_st, verse_st, st.just(""), header_st),
+             max_size=7))
+# mostly the seed lexicon and valid, so that most verses reach the scanner
+lexicon_st = st.builds(
+    lambda seed, bad: "\n".join([SEED_TEXT if seed else "", *GOOD_LEXICON_ROWS,
+                                 *bad]),
+    st.sampled_from([True, True, True, False]),
+    st.lists(st.sampled_from(BAD_LEXICON_ROWS), max_size=1))
+# at most two words added to a verse of at most ten, so no line passes 12
+amendment_st = st.builds(
+    lambda fields, n: "\t".join(fields[:n]),
+    st.tuples(st.sampled_from(["Inferno", "inferno", "Paradiso"]),
+              st.sampled_from(["I", "II", "Q", "IIII", ""]),
+              st.sampled_from(["1", "2", "x", "-1"]),
+              st.sampled_from(["selva", "vita", "nel", ""]),
+              st.sampled_from(["selva", "vita e a", "‘", ""]),
+              st.sampled_from(["", "note"])),
+    st.integers(3, 6))
+amendments_st = st.lists(st.one_of(amendment_st, st.just("# comment")),
+                         max_size=3).map("\n".join)
+rules_st = st.lists(st.sampled_from(RULE_ROWS), max_size=4).map("\n".join)
+
+
+def file_st(text_st):
+    """A file's bytes: the text as UTF-8, now and then with a byte that is not."""
+    return st.builds(lambda text, tail: text.encode("utf-8") + tail, text_st,
+                     st.sampled_from([b""] * 15 + [b"\xe9\n"]))
+
+
+COMMANDS = {
+    "scan": ["scan", "--lexicon", "{d}/lexicon", "{verse}"],
+    "corpus": ["corpus", "--lexicon", "{d}/lexicon", "--in", "{d}/corpus",
+               "--out", "{d}/out"],
+    "corpus --amendments": ["corpus", "--lexicon", "{d}/lexicon", "--in",
+                            "{d}/corpus", "--out", "{d}/out",
+                            "--amendments", "{d}/amendments"],
+    "query": ["query", "--word", "{word}", "--lexicon", "{d}/lexicon",
+              "--in", "{d}/corpus"],
+    "stats": ["stats", "--lexicon", "{d}/lexicon", "--in", "{d}/corpus"],
+    "lex check": ["lex", "check", "{d}/lexicon"],
+    "lex build --rules": ["lex", "build", "--words", "{d}/corpus",
+                          "--rules", "{d}/rules"],
+}
+
+
+# one run per command, so that each gets its share of examples
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verse=verse_st,
+       word=st.sampled_from(PIECES),
+       files=st.fixed_dictionaries({
+           "lexicon": file_st(lexicon_st), "corpus": file_st(corpus_st),
+           "amendments": file_st(amendments_st), "rules": file_st(rules_st)}))
+def test_every_input_ends_in_a_documented_outcome(command, verse, word, files):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in files.items():
+            pathlib.Path(d, name).write_bytes(data)
+        argv = [a.format(d=d, verse=verse, word=word) for a in command]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("endecascan: ")

@@ -62,10 +62,12 @@ def test_scan_renders_capitalised_words_and_rejects_mismatched_analyses():
     lex = build_lexicon({"selva": [WordAnalysis(("sel", "va"), (-1,), P(0), P(1))]})
     assert scan("Selva selva", lex, require_a10=False).final_states[0].text \
         == "|Sel|va |sel|va"
-    bad = build_lexicon({"selva": [WordAnalysis(("sel", "v"), (-1,), P(0), P(1))]})
-    for word in ("selva", "Selva"):
-        with pytest.raises(ValueError, match="does not cover"):
-            scan(word, bad)
+    bad = build_lexicon({
+        "selva": [WordAnalysis(("sel", "v"), (-1,), P(0), P(1))],
+        "oscura": [WordAnalysis(("o", "scu", "ra"), (-1,), P(1), P(1))]})
+    for text in ("selva", "Selva", "oscura selva"):
+        assert scan(text, bad) == VerseScansion(
+            None, (), ScanStatus.FAIL_BAD_ANALYSIS, ())
 
 
 def test_advance_rejects_a_mismatched_analysis_before_any_successor():

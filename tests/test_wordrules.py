@@ -56,9 +56,10 @@ def test_split_rejects_empty(cfg):
         split_syllables("", cfg)
 
 
-def test_split_no_vowel_fallback(cfg):
-    with pytest.warns(UserWarning, match="no vowel"):
-        assert split_syllables("pss", cfg) == ["pss"]
+def test_split_no_vowel_fallback(cfg, capsys):
+    assert split_syllables("pss", cfg) == ["pss"]
+    assert capsys.readouterr().err == (
+        "endecascan: no vowel in 'pss', treating as one syllable\n")
 
 
 def test_concatenation_property(cfg, seed_lexicon):
