@@ -113,11 +113,14 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_lex_build(args) -> int:
     from . import seedlex, wordrules
+    from .corpus import HEADER_RE
     cfg = (wordrules.load_rule_config(_read_text(args.rules))
            if args.rules else wordrules.default_config())
-    # keyed as the tokenizer keys them: no punctuation, no capitals
-    words = [token.key for w in _read_text(args.words).split()
-             if not w.startswith("#")
+    # keyed as the tokenizer keys them: no punctuation, no capitals; a
+    # canto header is not a verse, so its words are never looked up
+    words = [token.key for line in _read_text(args.words).splitlines()
+             if not HEADER_RE.match(line)
+             for w in line.split() if not w.startswith("#")
              for token in word_tokens(tokenize(normalize_line(w)))]
     lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
     sys.stdout.write(serialize_lexicon(lex))

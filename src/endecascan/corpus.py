@@ -19,7 +19,7 @@ from .lexicon import InputError, Lexicon
 from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
 from .tokenizer import Token, normalize_line, reconstruct, tokenize
 
-_HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
+HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
 
 _ROMAN = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
 
@@ -130,7 +130,7 @@ def parse_corpus(text: str) -> tuple[Verse, ...]:
     seen = set()
     verses = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        header = _HEADER_RE.match(raw)
+        header = HEADER_RE.match(raw)
         if header:
             cantica, canto = header.group(1), roman_to_int(header.group(2))
             if (cantica, canto) in seen:

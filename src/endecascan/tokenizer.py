@@ -8,6 +8,13 @@ first word) joins the next word's `lead`, any other joins the previous
 word's `trail`.  The mark also stays in the stream as a PUNCT token, so
 the stream still rebuilds the line.
 
+The words of a poem repeat (nearly half the pieces of one canto repeat
+an earlier piece of it), and tokens are values, so a word token that no
+standalone mark changes is shared: a bounded module table maps
+`(piece, space_before)` to it, a repeated piece costs one lookup, and
+verses hold the same token objects.  `_word_token` alone makes word
+tokens, for the table and for the words next to a mark alike.
+
 Apostrophes are the delicate part.  The canonical apostrophe is U+2019.
 An apostrophe glued between two letters marks an elision boundary
 ("ch'io", "l'altre") and splits the compound into two word tokens; a
@@ -41,6 +48,16 @@ _SPLIT_RE = re.compile(r"(?<=[^\W\d_])’(?=[^\W\d_])", re.UNICODE)
 # run's first letter, so it scans in linear time
 _ELISION_RUN_RE = re.compile(r"(?<![^\W\d_])[^\W\d_’]+(?:’[^\W\d_]+)+’?",
                              re.UNICODE)
+
+# the shared word tokens, keyed by (piece, space_before); only tokens
+# that no standalone mark changes.  Cleared when full.  A piece longer
+# than _SHARED_PIECE_MAX is built every time, so an entry (key tuple,
+# token, and its piece, word, key, lead and trail strings) holds under
+# 1 KB even in 4-byte characters: tracemalloc measured 6.3 MB for a full
+# table of 32-character pieces of them, 0.16 MB for Inferno I's 574.
+_SHARED_TOKENS_MAX = 8192
+_SHARED_PIECE_MAX = 32
+_WORD_TOKENS: dict[tuple[str, bool], Token] = {}
 
 
 class TokenKind(Enum):
@@ -156,30 +173,77 @@ def tokenize(line: str) -> list[Token]:
     the neighbouring word (opening marks lean right, everything else
     left), so renderers only ever need the word tokens.
     """
+    tokens: list[Token] = []
+    shared = _WORD_TOKENS.get
+    space_before = False
+    for piece in line.split(" "):
+        if not piece:
+            continue
+        token = shared((piece, space_before))
+        if token is None:
+            token = _word_token(piece, space_before)
+            if token is None:  # a standalone mark: its neighbours change
+                return _tokenize_marks(line)
+            if len(piece) <= _SHARED_PIECE_MAX:
+                if len(_WORD_TOKENS) >= _SHARED_TOKENS_MAX:
+                    _WORD_TOKENS.clear()
+                _WORD_TOKENS[piece, space_before] = token
+        tokens.append(token)
+        space_before = True
+    return tokens
+
+
+def _tokenize_marks(line: str) -> list[Token]:
+    # a line with a standalone mark: each mark is a PUNCT token and also
+    # joins a neighbouring word's lead or trail
     pieces = [piece for piece in line.split(" ") if piece]
-    parts = [_split_piece(piece) for piece in pieces]
+    words = [_word_token(piece, i > 0) for i, piece in enumerate(pieces)]
     tokens: list[Token] = []
     pending_lead = ""
     seen_word = False
-    last = len(parts) - 1
-    for i, (piece, (lead, word, trail)) in enumerate(zip(pieces, parts)):
-        if not word:
+    last = len(pieces) - 1
+    for i, (piece, token) in enumerate(zip(pieces, words)):
+        if token is None:
             # a mark after a word that does not open is in its trail already
             if not seen_word or _opens(piece):
                 pending_lead += piece
             tokens.append(Token(TokenKind.PUNCT, piece, i > 0))
             continue
         # the marks up to the next word that do not open join the trail
+        trail = ""
         j = i
-        while j < last and not parts[j + 1][1]:
+        while j < last and words[j + 1] is None:
             j += 1
             if not _opens(pieces[j]):
                 trail += pieces[j]
-        tokens.append(Token(TokenKind.WORD, piece, i > 0, word, lex_key(word),
-                            pending_lead + lead, trail))
+        if pending_lead or trail:
+            token = _word_token(piece, i > 0, pending_lead, trail)
+        tokens.append(token)
         pending_lead = ""
         seen_word = True
     return tokens
+
+
+# allocates a token without running __init__: _word_token sets every slot
+_new_token = object.__new__
+
+
+def _word_token(piece: str, space_before: bool, lead: str = "",
+                trail: str = "") -> Token | None:
+    """The WORD token of a piece, with the marks of its neighbours added
+    to its own lead and trail; None for a piece with no letter."""
+    own_lead, word, own_trail = _split_piece(piece)
+    if not word:
+        return None
+    token = _new_token(Token)
+    token.kind = TokenKind.WORD
+    token.surface = piece
+    token.space_before = space_before
+    token.word = word
+    token.key = lex_key(word)
+    token.lead = lead + own_lead
+    token.trail = own_trail + trail
+    return token
 
 
 def word_tokens(tokens: Iterable[Token]) -> list[Token]:

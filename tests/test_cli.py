@@ -135,6 +135,16 @@ def test_lex_build_keys_words_as_the_tokenizer_does(capsys, tmp_path):
     assert (p_r, syllables, accents) == ("1.0", "o|scu|ra", "-1")
 
 
+def test_lex_build_skips_canto_header_lines(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("Inferno: Canto XV\nNel mezzo del cammin\n", "utf-8")
+    code, out, err = run(capsys, "lex", "build", "--words", str(words))
+    assert code == 0 and err == ""
+    keys = [line.split("\t")[0] for line in out.splitlines()
+            if not line.startswith(("#", "@"))]
+    assert sorted(keys) == ["cammin", "del", "mezzo", "nel"]
+
+
 def test_lex_build_rejects_out_of_range_propensity(capsys, monkeypatch,
                                                    tmp_path):
     (tmp_path / "data").mkdir()

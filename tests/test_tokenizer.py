@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from endecascan import tokenizer
 from endecascan.tokenizer import (APOSTROPHE, Token, TokenKind, lex_key,
                                   normalize_line, reconstruct, tokenize,
                                   word_tokens)
@@ -163,8 +164,10 @@ def test_front_end_matches_reference(line):
         assert "‘" not in normalized
         assert normalize_line(normalized) == normalized
     for text in (normalized, line):
-        got = [token_fields(t) for t in tokenize(text)]
-        assert got == [token_fields(t) for t in oracle.tokenize(text)]
+        expected = [token_fields(t) for t in oracle.tokenize(text)]
+        assert [token_fields(t) for t in tokenize(text)] == expected
+        # again, with this line's word tokens now in the shared table
+        assert [token_fields(t) for t in tokenize(text)] == expected
 
 
 def token_fields(t):
@@ -206,3 +209,41 @@ def test_a_numeric_mark_after_a_word_is_its_trail():
     # str.isalpha is the letter test: a footnote mark is not part of a word
     assert [token_fields(t) for t in tokenize("cammin¹")] == [
         (TokenKind.WORD, "cammin¹", False, "cammin", "cammin", "", "¹")]
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    table = {}
+    monkeypatch.setattr(tokenizer, "_WORD_TOKENS", table)
+    return table
+
+
+@pytest.mark.parametrize("lines", [("vita nostra", "nostra vita"),
+                                   ("nostra vita", "vita nostra")],
+                         ids=["first-then-later", "later-then-first"])
+def test_a_shared_word_keeps_its_space_before(empty_table, lines):
+    for line in lines:
+        assert [(t.surface, t.space_before) for t in tokenize(line)] == \
+            [(piece, i > 0) for i, piece in enumerate(line.split())]
+    # a repeated line is built from the same token objects
+    assert all(a is b for a, b in zip(tokenize(lines[1]), tokenize(lines[1])))
+
+
+def test_a_mark_changes_only_its_own_line(empty_table):
+    assert [t.trail for t in word_tokens(tokenize("vita ,"))] == [","]
+    assert [t.trail for t in tokenize("vita")] == [""]
+    assert [t.trail for t in word_tokens(tokenize("vita ,"))] == [","]
+
+
+def test_the_shared_table_is_bounded(empty_table):
+    bound = tokenizer._SHARED_TOKENS_MAX
+    letters = "abcdefghilmnopqrstuvz"
+    pieces = ["".join(letters[i // len(letters) ** k % len(letters)]
+                      for k in range(4)) for i in range(bound + 100)]
+    assert len(set(pieces)) == len(pieces)
+    for start in range(0, len(pieces), 100):
+        tokenize(" ".join(pieces[start:start + 100]))
+    assert 0 < len(empty_table) <= bound
+    long_piece = "a" * (tokenizer._SHARED_PIECE_MAX + 1)
+    assert tokenize(long_piece)[0].word == long_piece
+    assert (long_piece, False) not in empty_table
