@@ -84,13 +84,7 @@ def accent_pattern(scansion: VerseScansion,
     chosen = scansion.chosen
     if chosen is None:
         raise AnalysisError("no chosen state to profile")
-    stressed = set()
-    for mark in chosen.accents:
-        if not 1 <= mark.position <= chosen.count or not mark.eligible:
-            continue
-        if mark.primary or include_secondary:
-            stressed.add(mark.position)
-    return AccentPattern(tuple(i in stressed for i in range(1, chosen.count + 1)))
+    return AccentPattern(chosen.stresses(include_secondary))
 
 
 def metric_units(pattern: AccentPattern) -> str:
@@ -116,13 +110,14 @@ def metric_units(pattern: AccentPattern) -> str:
 def pattern_histogram(records: Iterable[VerseRecord],
                       include_secondary: bool = False) -> dict[str, int]:
     """Histogram of rendered accent patterns over the chosen states."""
-    counts: Counter = Counter()
+    profiles: Counter = Counter()
     for record in records:
-        if record.scansion.chosen is None:
-            continue
-        counts[accent_pattern(record.scansion, include_secondary).rendered] += 1
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return dict(ordered)
+        chosen = record.scansion.chosen
+        if chosen is not None:
+            profiles[chosen.stresses(include_secondary)] += 1
+    # distinct profiles render to distinct patterns: each is rendered once
+    counts = {AccentPattern(p).rendered: n for p, n in profiles.items()}
+    return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def occurrences_tsv(occurrences: list[Occurrence]) -> str:

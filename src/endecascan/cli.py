@@ -116,12 +116,16 @@ def _cmd_lex_build(args) -> int:
     from .corpus import HEADER_RE
     cfg = (wordrules.load_rule_config(_read_text(args.rules))
            if args.rules else wordrules.default_config())
-    # keyed as the tokenizer keys them: no punctuation, no capitals; a
-    # canto header is not a verse, so its words are never looked up
-    words = [token.key for line in _read_text(args.words).splitlines()
-             if not HEADER_RE.match(line)
-             for w in line.split() if not w.startswith("#")
-             for token in word_tokens(tokenize(normalize_line(w)))]
+    # keyed as the scanner keys them: each line normalized whole (a quote
+    # pair spans words), then tokenized; a canto header is not a verse,
+    # so its words are never looked up
+    words = []
+    for line in _read_text(args.words).splitlines():
+        if HEADER_RE.match(line):
+            continue
+        kept = " ".join(w for w in line.split() if not w.startswith("#"))
+        tokens = tokenize(normalize_line(kept))
+        words += (token.key for token in word_tokens(tokens))
     lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
     sys.stdout.write(serialize_lexicon(lex))
     return EXIT_OK

@@ -96,9 +96,9 @@ class ScanState(Value):
     and accents given outright.  A state built by `advance` is a chain
     node: it points to the state it extends (`_parent`), to the analysis
     and the word that extended it and to whether that word melded.  `text`,
-    `melds` and `accents` read the same either way; with the public
-    slots they are the state's value.  States are values; never assign
-    to one.
+    `melds`, `accents` and `stresses` read the same either way; with the
+    public slots the first three are the state's value.  States are
+    values; never assign to one.
     """
 
     _fields = ("text", "likelihood", "count", "pending_p_r", "a4", "a6",
@@ -174,6 +174,27 @@ class ScanState(Value):
             marks += (AccentMark(link.count + o, o == primary, eligible, index)
                       for o in offsets)
         return tuple(marks)
+
+    def stresses(self, include_secondary: bool = False) -> tuple[bool, ...]:
+        """One flag per syllable, set where an accent of a stress-eligible
+        word lands: its primary one, or any with include_secondary.  The
+        profile of `accents`, read off the chain without making marks."""
+        count = self.count
+        stressed = [False] * count
+        node = self
+        while node._parent is not None:
+            if node._word[2]:
+                offsets = node._analysis.accents
+                for o in offsets if include_secondary else offsets[:1]:
+                    position = node.count + o
+                    if 0 < position <= count:
+                        stressed[position - 1] = True
+            node = node._parent
+        for mark in node._prefix[1]:
+            if (mark.eligible and (mark.primary or include_secondary)
+                    and 0 < mark.position <= count):
+                stressed[mark.position - 1] = True
+        return tuple(stressed)
 
 
 class ScanStatus(Enum):
@@ -319,19 +340,17 @@ def advance(states: list[ScanState], token: Token,
     return successors
 
 
-def _admissible(state: ScanState, cfg: ScanConfig, last_word_index: int) -> bool:
-    if cfg.require_a10 and not state.a10:
-        return False
-    if state.a10 and state.accent10_word_index == last_word_index:
-        return True  # versi sdruccioli: any count when the stress is final
-    return state.count <= cfg.max_total_syllables
-
-
 def finalize(states: list[ScanState], cfg: ScanConfig,
              last_word_index: int) -> VerseScansion:
     """Filter final states by the metric constraints and pick a winner."""
     final = tuple(states)
-    admissible = [s for s in states if _admissible(s, cfg, last_word_index)]
+    require_a10, budget = cfg.require_a10, cfg.max_total_syllables
+    # a10 when required, and at most the budget of syllables unless the
+    # tenth-syllable stress is in the last word (versi sdruccioli)
+    admissible = [s for s in states
+                  if (s.a10 or not require_a10)
+                  and (s.count <= budget or (
+                      s.a10 and s.accent10_word_index == last_word_index))]
     if not admissible:
         best = max(states, key=lambda s: s.likelihood, default=None)
         return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, final,

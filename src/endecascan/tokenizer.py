@@ -13,7 +13,11 @@ an earlier piece of it), and tokens are values, so a word token that no
 standalone mark changes is shared: a bounded module table maps
 `(piece, space_before)` to it, a repeated piece costs one lookup, and
 verses hold the same token objects.  `_word_token` alone makes word
-tokens, for the table and for the words next to a mark alike.
+tokens, for the table and for the words next to a mark alike.  A second
+table, bounded the same way, holds each whitespace piece with an
+apostrophe after its elision split.  Splitting piece by piece gives the
+line's own split, because an elision run is made of letters and
+apostrophes only and so never crosses whitespace.
 
 Apostrophes are the delicate part.  The canonical apostrophe is U+2019.
 An apostrophe glued between two letters marks an elision boundary
@@ -49,20 +53,34 @@ _SPLIT_RE = re.compile(r"(?<=[^\W\d_])’(?=[^\W\d_])", re.UNICODE)
 _ELISION_RUN_RE = re.compile(r"(?<![^\W\d_])[^\W\d_’]+(?:’[^\W\d_]+)+’?",
                              re.UNICODE)
 
-# the shared word tokens, keyed by (piece, space_before); only tokens
-# that no standalone mark changes.  Cleared when full.  A piece longer
-# than _SHARED_PIECE_MAX is built every time, so an entry (key tuple,
-# token, and its piece, word, key, lead and trail strings) holds under
-# 1 KB even in 4-byte characters: tracemalloc measured 6.3 MB for a full
-# table of 32-character pieces of them, 0.16 MB for Inferno I's 574.
+# the two shared tables, both kept by _share: cleared when full, and a
+# piece longer than _SHARED_PIECE_MAX built every time.  A word-token
+# entry (key tuple, token, and its piece, word, key, lead and trail
+# strings) holds under 1 KB even in 4-byte characters: tracemalloc
+# measured 6.3 MB for a full table of 32-character pieces of them,
+# 0.16 MB for Inferno I's 574.  An elision entry is two short strings.
 _SHARED_TOKENS_MAX = 8192
 _SHARED_PIECE_MAX = 32
+# word tokens keyed by (piece, space_before); only tokens that no
+# standalone mark changes
 _WORD_TOKENS: dict[tuple[str, bool], Token] = {}
+# each piece that holds an apostrophe, after its elision split
+_ELIDED: dict[str, str] = {}
+
+
+def _share(table: dict, key, value, piece: str) -> None:
+    if len(piece) <= _SHARED_PIECE_MAX:
+        if len(table) >= _SHARED_TOKENS_MAX:
+            table.clear()
+        table[key] = value
 
 
 class TokenKind(Enum):
     WORD = "word"
     PUNCT = "punct"
+
+
+_WORD = TokenKind.WORD  # bound once: word_tokens reads it per token
 
 
 class Token(Value):
@@ -100,10 +118,17 @@ def normalize_line(line: str) -> str:
     if "‘" in line:
         line = _rewrite_open_quotes(line)
 
+    pieces = line.split()
     if APOSTROPHE in line:
-        line = _ELISION_RUN_RE.sub(_split_elisions, line)
-
-    return " ".join(line.split())
+        # an elision run never crosses whitespace: split each piece once
+        for i, piece in enumerate(pieces):
+            if APOSTROPHE in piece:
+                split = _ELIDED.get(piece)
+                if split is None:
+                    split = _ELISION_RUN_RE.sub(_split_elisions, piece)
+                    _share(_ELIDED, piece, split, piece)
+                pieces[i] = split
+    return " ".join(pieces)
 
 
 def _split_elisions(match: re.Match) -> str:
@@ -184,10 +209,7 @@ def tokenize(line: str) -> list[Token]:
             token = _word_token(piece, space_before)
             if token is None:  # a standalone mark: its neighbours change
                 return _tokenize_marks(line)
-            if len(piece) <= _SHARED_PIECE_MAX:
-                if len(_WORD_TOKENS) >= _SHARED_TOKENS_MAX:
-                    _WORD_TOKENS.clear()
-                _WORD_TOKENS[piece, space_before] = token
+            _share(_WORD_TOKENS, (piece, space_before), token, piece)
         tokens.append(token)
         space_before = True
     return tokens
@@ -236,7 +258,7 @@ def _word_token(piece: str, space_before: bool, lead: str = "",
     if not word:
         return None
     token = _new_token(Token)
-    token.kind = TokenKind.WORD
+    token.kind = _WORD
     token.surface = piece
     token.space_before = space_before
     token.word = word
@@ -247,7 +269,7 @@ def _word_token(piece: str, space_before: bool, lead: str = "",
 
 
 def word_tokens(tokens: Iterable[Token]) -> list[Token]:
-    return [t for t in tokens if t.kind is TokenKind.WORD]
+    return [t for t in tokens if t.kind is _WORD]
 
 
 def reconstruct(tokens: Iterable[Token]) -> str:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from endecascan.analysis import (AccentPattern, AnalysisError, Outcome, Side,
@@ -116,6 +118,30 @@ def test_pattern_histogram_counts_duplicates(seed_lexicon):
             "Nel mezzo del cammin di nostra vita\n")
     report = scan_document(parse_corpus(text), seed_lexicon, ScanConfig())
     assert pattern_histogram(report) == {"-+---+-+-+-": 2}
+
+
+@pytest.mark.parametrize("include_secondary", [False, True],
+                         ids=["primary", "secondary"])
+def test_pattern_histogram_matches_the_accent_marks(seed_lexicon,
+                                                    canto_document,
+                                                    include_secondary):
+    # the canto's words have no secondary accent; caninamente has one
+    extra = parse_corpus("Inferno: Canto VI\n\n"
+                         "con tre gole caninamente latra\n")
+    records = [*scan_document(canto_document, seed_lexicon, ScanConfig()),
+               *scan_document(extra, seed_lexicon, ScanConfig())]
+    counts = Counter()
+    for record in records:
+        chosen = record.scansion.chosen
+        if chosen is None:
+            continue
+        stressed = {m.position for m in chosen.accents
+                    if m.eligible and (m.primary or include_secondary)}
+        counts["".join("+" if i in stressed else "-"
+                       for i in range(1, chosen.count + 1))] += 1
+    expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert list(pattern_histogram(records, include_secondary).items()) == expected
+    assert pattern_histogram(records, True) != pattern_histogram(records)
 
 
 def test_tsv_serializers(porto_report):

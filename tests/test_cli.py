@@ -145,6 +145,17 @@ def test_lex_build_skips_canto_header_lines(capsys, tmp_path):
     assert sorted(keys) == ["cammin", "del", "mezzo", "nel"]
 
 
+def test_lex_build_normalizes_each_line_whole(capsys, tmp_path):
+    # a quote pair spans words: the line is normalized as scan does it
+    words = tmp_path / "words.txt"
+    words.write_text("e ‘Beati misericordes!’ fue\n", "utf-8")
+    code, out, _ = run(capsys, "lex", "build", "--words", str(words))
+    assert code == 0
+    keys = [line.split("\t")[0] for line in out.splitlines()
+            if not line.startswith(("#", "@"))]
+    assert sorted(keys) == ["beati", "e", "fue", "misericordes"]
+
+
 def test_lex_build_rejects_out_of_range_propensity(capsys, monkeypatch,
                                                    tmp_path):
     (tmp_path / "data").mkdir()

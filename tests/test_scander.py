@@ -208,6 +208,10 @@ def test_advance_keeps_caller_prefix():
         assert s.accents[:3] == prefix
         assert [m.word_index for m in s.accents[3:]] == [3, 4]
         assert s.accents[-1].position == s.count - 1  # àspra
+        # the root's own marks count in the profile too
+        stressed = {m.position for m in s.accents if m.eligible and m.primary}
+        assert s.stresses() == tuple(i in stressed
+                                     for i in range(1, s.count + 1))
     assert [s.melds[3:] for s in states] == \
         [(True, True), (True, False), (False, True), (False, False)]
     assert states[0].text == "|e|sta |sel|va |sel|vag|gia e a|spra"
@@ -229,6 +233,11 @@ def test_final_state_fields_agree_with_text(seed_lexicon, cfg, verse):
         accents = state.accents
         assert [m.word_index for m in accents] == \
             sorted(m.word_index for m in accents)
+        for secondary in (False, True):
+            stressed = {m.position for m in accents
+                        if m.eligible and (m.primary or secondary)}
+            assert state.stresses(secondary) == tuple(
+                i in stressed for i in range(1, state.count + 1))
         count = 0
         for index, (word, chunk) in enumerate(zip(words, chunks)):
             count += chunk.count("|")  # syllables through this word

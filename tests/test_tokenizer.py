@@ -154,7 +154,10 @@ raw_line_st = st.lists(fragment_st, max_size=16).map("".join)
           suppress_health_check=[HealthCheck.too_slow])
 @given(raw_line_st)
 def test_front_end_matches_reference(line):
+    tokenizer._ELIDED.clear()
     normalized = normalize_line(line)
+    # again, with this line's pieces now in the elision table
+    assert normalize_line(line) == normalized
     expected = oracle.normalize_line(line)
     if oracle.normalize_line(expected) == expected:
         assert normalized == expected
@@ -247,3 +250,22 @@ def test_the_shared_table_is_bounded(empty_table):
     long_piece = "a" * (tokenizer._SHARED_PIECE_MAX + 1)
     assert tokenize(long_piece)[0].word == long_piece
     assert (long_piece, False) not in empty_table
+
+
+def test_the_elision_table_is_bounded(monkeypatch):
+    table = {}
+    monkeypatch.setattr(tokenizer, "_ELIDED", table)
+    bound = tokenizer._SHARED_TOKENS_MAX
+    letters = "abcdefghilmnopqrstuvz"
+    pieces = ["l’" + "".join(letters[i // len(letters) ** k % len(letters)]
+                             for k in range(4)) for i in range(bound + 100)]
+    assert len(set(pieces)) == len(pieces)
+    for start in range(0, len(pieces), 100):
+        line = " ".join(pieces[start:start + 100])
+        assert normalize_line(line) == line.replace("’", "’ ")
+    assert 0 < len(table) <= bound
+    assert normalize_line("vita nostra") == "vita nostra"
+    assert "vita" not in table  # a piece without an apostrophe is not kept
+    long_piece = "l’" + "a" * tokenizer._SHARED_PIECE_MAX
+    assert normalize_line(long_piece) == "l’ " + "a" * tokenizer._SHARED_PIECE_MAX
+    assert long_piece not in table
