@@ -25,7 +25,7 @@ from pathlib import Path
 from .lexicon import (InputError, Lexicon, LexiconError, parse_lexicon,
                       serialize_lexicon)
 from .scander import ScanConfig, ScanStatus, scan_verse
-from .tokenizer import normalize_line, tokenize, word_tokens
+from .tokenizer import lex_key, normalize_line, tokenize, word_tokens
 
 EXIT_OK = 0
 EXIT_VERSE_FAILURES = 1
@@ -143,9 +143,10 @@ def _cmd_lex_check(args) -> int:
     return EXIT_OK
 
 
-def _scan_records(args):
+def _scan_records(args, key: str | None = None):
     """Records of args.infile after its amendments: a user --amendments
-    file must match exactly, the bundled one where it can."""
+    file must match exactly, the bundled one where it can.  Given a
+    lexicon key, only the verses holding that word are scanned."""
     from . import corpus
     lex = _load_lexicon(args.lexicon)
     doc = corpus.parse_corpus(_read_text(args.infile))
@@ -156,12 +157,13 @@ def _scan_records(args):
             "data", "amendments.tsv").read_text("utf-8")
     doc = corpus.apply_amendments(doc, corpus.parse_amendments(amendments),
                                   strict=bool(args.amendments))
-    return corpus.scan_records(doc, lex, ScanConfig())
+    return corpus.scan_records(doc, lex, ScanConfig(), key)
 
 
 def _cmd_query(args) -> int:
     from . import analysis
-    occurrences = analysis.classify_word(args.word.lower(), _scan_records(args))
+    key = lex_key(args.word)
+    occurrences = analysis.classify_word(key, _scan_records(args, key))
     sys.stdout.write(analysis.occurrences_tsv(occurrences))
     return EXIT_OK
 

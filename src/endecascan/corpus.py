@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import InputError, Lexicon
 from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
-from .tokenizer import Token, normalize_line, reconstruct, tokenize
+from .tokenizer import (Token, normalize_line, reconstruct, tokenize,
+                        word_tokens)
 
 HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
 
@@ -200,13 +201,20 @@ def parse_amendments(text: str) -> list[Amendment]:
 
 
 def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
-                 cfg: ScanConfig | None = None) -> Iterator[VerseRecord]:
+                 cfg: ScanConfig | None = None,
+                 key: str | None = None) -> Iterator[VerseRecord]:
     """Scan the verses one at a time; failures are recorded in each
-    record's status, not raised."""
+    record's status, not raised.
+
+    Every verse is normalized and tokenized.  Given a lexicon key, only
+    the verses with a word token of that key are scanned and yielded:
+    the others cannot hold an occurrence of the word."""
     cfg = cfg or ScanConfig()
     for verse in doc:
         normalized = normalize_line(verse.text)
         tokens = tuple(tokenize(normalized))
+        if key is not None and all(t.key != key for t in word_tokens(tokens)):
+            continue
         yield VerseRecord(verse[:3], normalized, tokens,
                           scan_verse(tokens, lex, cfg))
 

@@ -382,6 +382,10 @@ def _rank(states: list[ScanState], eps: float) -> list[ScanState]:
     return ranked
 
 
+# every verse starts from this empty root; states are values, so one serves
+_ROOT = ScanState()
+
+
 def scan_verse(tokens: Iterable[Token], lex: Lexicon,
                cfg: ScanConfig | None = None) -> VerseScansion:
     """Scan one tokenized verse against a lexicon; an analysis that does
@@ -391,7 +395,7 @@ def scan_verse(tokens: Iterable[Token], lex: Lexicon,
     if not words:
         return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
     entries, ineligible = lex.entries, lex.stress_ineligible
-    states = [ScanState()]
+    states = [_ROOT]
     for index, token in enumerate(words):
         key = token.key
         analyses = entries.get(key)

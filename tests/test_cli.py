@@ -313,6 +313,9 @@ def test_query_subcommand(capsys):
                        "--in", str(DATA / "inferno_i.txt"))
     assert code == 0
     assert "dialephe" in out
+    # the word is keyed as the verses' words are, so case does not matter
+    assert run(capsys, "query", "--lexicon", SEED, "--word", "TRA",
+               "--in", str(DATA / "inferno_i.txt")) == (code, out, "")
 
 
 def test_stats_subcommand(capsys):

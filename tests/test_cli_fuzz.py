@@ -4,7 +4,8 @@ Exit 0 or 1, or exit 2 with nothing on stdout and an `endecascan:` line
 last on stderr; never an exception that escapes `main`.  The files are
 generated: corpora with canto headers, tabs, Roman numerals and U+2018,
 lexicon, amendment and rule files with bad rows among good ones, and
-now and then a byte that is not UTF-8.
+now and then a byte that is not UTF-8.  A query that succeeds prints the
+table that the corpus's unfiltered records give.
 """
 
 import contextlib
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from endecascan.cli import main
+from endecascan.analysis import classify_word, occurrences_tsv
+from endecascan.cli import _scan_records, build_parser, main
+from endecascan.tokenizer import lex_key
 
 SEED_TEXT = (pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
              / "seed.lex").read_text("utf-8")
@@ -48,8 +51,17 @@ RULE_ROWS = [
     "diphthong-p\t0.3", "bogus\t1", "# comment", "",
 ]
 
-verse_st = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)),
-                    max_size=10).map(lambda pairs: "".join(p + s for p, s in pairs))
+# verses of the canto, which scan, so that a query has junctions to classify
+VERSES = ["Nel mezzo del cammin di nostra vita",
+          "mi ritrovai per una selva oscura,",
+          "E come quei che con lena affannata",
+          "esta selva selvaggia e aspra e forte",
+          "Ma poi ch’i’ fui al piè d’un colle giunto,"]
+
+verse_st = st.one_of(
+    st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(SEPARATORS)),
+             max_size=10).map(lambda pairs: "".join(p + s for p, s in pairs)),
+    st.sampled_from(VERSES))
 header_st = st.builds("{}: Canto {}".format,
                       st.sampled_from(["Inferno", "PURGATORIO", "Paradiso"]),
                       st.sampled_from(["I", "II", "XX"] * 3 + ["IIII", "MMMM", "Q"]))
@@ -105,7 +117,7 @@ COMMANDS = {
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(verse=verse_st,
-       word=st.sampled_from(PIECES),
+       word=st.sampled_from(PIECES + " ".join(VERSES).split()),
        files=st.fixed_dictionaries({
            "lexicon": file_st(lexicon_st), "corpus": file_st(corpus_st),
            "amendments": file_st(amendments_st), "rules": file_st(rules_st)}))
@@ -117,6 +129,14 @@ def test_every_input_ends_in_a_documented_outcome(command, verse, word, files):
         argv = [a.format(d=d, verse=verse, word=word) for a in command]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        if command[0] == "query" and code == 0:
+            # the word's filter skips only verses that hold no occurrence:
+            # the table is the one the unfiltered records give
+            key = lex_key(word)
+            with contextlib.redirect_stderr(io.StringIO()):
+                records = _scan_records(build_parser().parse_args(argv))
+                want = occurrences_tsv(classify_word(key, records))
+            assert out.getvalue() == want
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from endecascan import corpus
 from endecascan.analysis import classify_word, pattern_histogram
 from endecascan.cli import main
 from endecascan.corpus import (Amendment, AmendmentMismatch, CorpusFormatError,
@@ -10,7 +11,7 @@ from endecascan.corpus import (Amendment, AmendmentMismatch, CorpusFormatError,
                                parse_corpus, render_scansion, roman_to_int,
                                scan_document, scan_records, write_outputs)
 from endecascan.scander import ScanConfig, scan_verse
-from endecascan.tokenizer import normalize_line, tokenize
+from endecascan.tokenizer import normalize_line, tokenize, word_tokens
 
 DATA = pathlib.Path(__file__).parent / "data"
 BUNDLED_AMENDMENTS = (pathlib.Path(__file__).parents[1] / "src" / "endecascan"
@@ -223,7 +224,7 @@ def test_write_outputs(tmp_path, seed_lexicon, canto_document):
 
 @pytest.mark.parametrize("name", ["inferno_i", "anomalies_fixture"])
 def test_streamed_records_give_the_outputs_of_a_kept_report(
-        tmp_path, seed_lexicon, canto_golden, name):
+        tmp_path, monkeypatch, seed_lexicon, canto_golden, name):
     doc = parse_corpus((DATA / f"{name}.txt").read_text("utf-8"))
     report = scan_document(doc, seed_lexicon, ScanConfig())
     kept = write_outputs(report, tmp_path / "kept", name)
@@ -231,9 +232,21 @@ def test_streamed_records_give_the_outputs_of_a_kept_report(
                              tmp_path / "streamed", name)
     for kind in ("syllabified", "report", "anomalies"):
         assert kept[kind].read_bytes() == streamed[kind].read_bytes()
-    for key in ("tra", "selva", "che", "e"):
-        assert classify_word(key, report) == \
-            classify_word(key, scan_records(doc, seed_lexicon, ScanConfig()))
+    # a verse without the word holds no occurrence of it, so the stream
+    # filtered by key gives what the whole report gives, for every key
+    keys = {t.key for r in report for t in word_tokens(r.tokens)}
+    for key in sorted(keys):
+        assert classify_word(key, report) == classify_word(
+            key, scan_records(doc, seed_lexicon, ScanConfig(), key))
+    scanned = []
+    monkeypatch.setattr(corpus, "scan_verse", lambda tokens, *rest: (
+        scanned.append(tokens) or scan_verse(tokens, *rest)))
+    selva = list(scan_records(doc, seed_lexicon, ScanConfig(), "selva"))
+    holding = [r for r in report
+               if "selva" in {t.key for t in word_tokens(r.tokens)}]
+    assert [r.tokens for r in selva] == scanned == [r.tokens for r in holding]
+    assert [r.location for r in selva] == [r.location for r in holding]
+    assert len(holding) == (2 if name == "inferno_i" else 0)
     for secondary in (False, True):
         assert pattern_histogram(report, secondary) == \
             pattern_histogram(scan_records(doc, seed_lexicon, ScanConfig()),
