@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Iterable
 
 from .corpus import VerseRecord
-from .scander import VerseScansion
 from .tokenizer import word_tokens
 
 
@@ -34,19 +33,6 @@ class Occurrence:
     side: Side
     outcome: Outcome
     neighbor: str
-
-
-@dataclass(frozen=True)
-class AccentPattern:
-    positions: tuple[bool, ...]
-
-    @property
-    def rendered(self) -> str:
-        return "".join("+" if p else "-" for p in self.positions)
-
-
-class AnalysisError(Exception):
-    pass
 
 
 def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:
@@ -72,41 +58,6 @@ def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:
     return out
 
 
-def accent_pattern(scansion: VerseScansion,
-                   include_secondary: bool = False) -> AccentPattern:
-    """Stress profile of the chosen state over its syllable positions.
-
-    Primary accents of stress-eligible words are marked, and secondary
-    ones too with include_secondary; accents of words outside the
-    eligible set are skipped.  The tenth-syllable accent is among the
-    marks because the scanner sets a10 only from an eligible word.
-    """
-    chosen = scansion.chosen
-    if chosen is None:
-        raise AnalysisError("no chosen state to profile")
-    return AccentPattern(chosen.stresses(include_secondary))
-
-
-def metric_units(pattern: AccentPattern) -> str:
-    """Encode a stress profile as slash-separated unit lengths.
-
-    The verse is partitioned into an optional unstressed prefix plus one
-    run per stress (each run starts at its stress and extends to just
-    before the next); unit lengths therefore sum to the verse length.
-    """
-    stresses = [i for i, p in enumerate(pattern.positions) if p]
-    if not stresses:
-        raise AnalysisError("pattern has no stress")
-    length = len(pattern.positions)
-    units = []
-    if stresses[0] > 0:
-        units.append(stresses[0])
-    for a, b in zip(stresses, stresses[1:]):
-        units.append(b - a)
-    units.append(length - stresses[-1])
-    return "".join(f"{u}/" for u in units)
-
-
 def pattern_histogram(records: Iterable[VerseRecord],
                       include_secondary: bool = False) -> dict[str, int]:
     """Histogram of rendered accent patterns over the chosen states."""
@@ -116,7 +67,8 @@ def pattern_histogram(records: Iterable[VerseRecord],
         if chosen is not None:
             profiles[chosen.stresses(include_secondary)] += 1
     # distinct profiles render to distinct patterns: each is rendered once
-    counts = {AccentPattern(p).rendered: n for p, n in profiles.items()}
+    counts = {"".join("+" if stressed else "-" for stressed in p): n
+              for p, n in profiles.items()}
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 

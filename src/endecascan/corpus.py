@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -107,19 +106,6 @@ class ScanReport:
     def failures(self) -> list[tuple[str, int, int]]:
         return [r.location for r in self.records
                 if not r.scansion.status.is_admissible]
-
-    @property
-    def ok(self) -> list[tuple[str, int, int]]:
-        return [r.location for r in self.records
-                if r.scansion.status is ScanStatus.OK]
-
-    @property
-    def unknown_words(self) -> Counter:
-        counts: Counter = Counter()
-        for r in self.records:
-            if r.scansion.status is ScanStatus.FAIL_UNKNOWN_WORD:
-                counts[r.scansion.unknown_key] += 1
-        return counts
 
 
 def parse_corpus(text: str) -> tuple[Verse, ...]:

@@ -92,13 +92,12 @@ class ScanState(Value):
     """One partial (or final) reading of a verse.
 
     The slots hold what the search and the ranking read.  A state built
-    by the constructor is a root: it holds its text and any meld flags
-    and accents given outright.  A state built by `advance` is a chain
-    node: it points to the state it extends (`_parent`), to the analysis
-    and the word that extended it and to whether that word melded.  `text`,
-    `melds`, `accents` and `stresses` read the same either way; with the
-    public slots the first three are the state's value.  States are
-    values; never assign to one.
+    by the constructor is a root: the start of a verse, with no words.  A
+    state built by `advance` is a chain node: it points to the state it
+    extends (`_parent`), to the analysis and the word that extended it and
+    to whether that word melded.  `text`, `melds`, `accents` and
+    `stresses` are read off the chain; with the public slots the first
+    three are the state's value.  States are values; never assign to one.
     """
 
     _fields = ("text", "likelihood", "count", "pending_p_r", "a4", "a6",
@@ -107,15 +106,12 @@ class ScanState(Value):
                  "accent10_word_index", "order",
                  # chain nodes; _word is (token, token index, stress-eligible)
                  "_parent", "_analysis", "_word", "_melded",
-                 "_text",  # None on a chain node until its text is read
-                 "_prefix")  # roots
+                 "_text")  # None on a chain node until its text is read
 
-    def __init__(self, text: str = "", likelihood: float = 1.0,
-                 count: int = 0, pending_p_r: Propensity = PROB_ZERO,
-                 a4: bool = False, a6: bool = False, a10: bool = False,
-                 accent10_word_index: int | None = None,
-                 melds: tuple[bool, ...] = (),
-                 accents: tuple[AccentMark, ...] = (), order: int = 0):
+    def __init__(self, likelihood: float = 1.0, count: int = 0,
+                 pending_p_r: Propensity = PROB_ZERO, a4: bool = False,
+                 a6: bool = False, a10: bool = False,
+                 accent10_word_index: int | None = None, order: int = 0):
         self.likelihood = likelihood
         self.count = count
         self.pending_p_r = pending_p_r
@@ -125,20 +121,17 @@ class ScanState(Value):
         self.accent10_word_index = accent10_word_index
         self.order = order  # construction order, the deterministic tie-breaker
         self._parent = None
-        self._text = text
-        # melds (per word: melded with the previous one) and accents given
-        # outright; the chain nodes after this root add their own
-        self._prefix = (tuple(melds), tuple(accents))
+        self._text = ""
 
-    def _chain(self) -> tuple[ScanState, list[ScanState]]:
-        """The root and the chain nodes from it to this state, in order."""
+    def _chain(self) -> list[ScanState]:
+        """The chain nodes from the root to this state, in order."""
         links = []
         node = self
         while node._parent is not None:
             links.append(node)
             node = node._parent
         links.reverse()
-        return node, links
+        return links
 
     @property
     def text(self) -> str:
@@ -159,14 +152,13 @@ class ScanState(Value):
 
     @property
     def melds(self) -> tuple[bool, ...]:
-        root, links = self._chain()
-        return root._prefix[0] + tuple(link._melded for link in links)
+        """Per word: melded with the previous one."""
+        return tuple(link._melded for link in self._chain())
 
     @property
     def accents(self) -> tuple[AccentMark, ...]:
-        root, links = self._chain()
-        marks = list(root._prefix[1])
-        for link in links:
+        marks = []
+        for link in self._chain():
             _, index, eligible = link._word
             offsets = link._analysis.accents
             primary = offsets[0]
@@ -190,10 +182,6 @@ class ScanState(Value):
                     if 0 < position <= count:
                         stressed[position - 1] = True
             node = node._parent
-        for mark in node._prefix[1]:
-            if (mark.eligible and (mark.primary or include_secondary)
-                    and 0 < mark.position <= count):
-                stressed[mark.position - 1] = True
         return tuple(stressed)
 
 

@@ -183,8 +183,10 @@ def _split_piece(piece: str) -> tuple[str, str, str]:
 
 
 def lex_key(word: str) -> str:
-    """Lexicon key of a word form: case-folded, diacritics preserved."""
-    return word.lower()
+    """Lexicon key of a word form: case-folded, diacritics preserved, one
+    character per character of the word.  `str.lower` keeps the length of
+    every character but U+0130 `İ`, which it turns into `i̇`."""
+    return word.replace("İ", "i").lower()
 
 
 def _opens(mark: str) -> bool:

@@ -2,10 +2,8 @@ from collections import Counter
 
 import pytest
 
-from endecascan.analysis import (AccentPattern, AnalysisError, Outcome, Side,
-                                 accent_pattern, classify_word, histogram_tsv,
-                                 metric_units, occurrences_tsv,
-                                 pattern_histogram)
+from endecascan.analysis import (Outcome, Side, classify_word, histogram_tsv,
+                                 occurrences_tsv, pattern_histogram)
 from endecascan.corpus import parse_corpus, scan_document
 from endecascan.scander import ScanConfig, scan_verse
 from endecascan.tokenizer import normalize_line, tokenize
@@ -50,52 +48,33 @@ def scan(text, lex):
     return scan_verse(tokenize(normalize_line(text)), lex, ScanConfig())
 
 
+def profile(pattern):
+    return tuple(mark == "+" for mark in pattern)
+
+
 def test_accent_pattern_line_one(seed_lexicon):
-    scansion = scan("Nel mezzo del cammin di nostra vita", seed_lexicon)
-    pattern = accent_pattern(scansion)
-    assert pattern.rendered == "-+---+-+-+-"
-
-
-def test_accent_pattern_requires_chosen_state(seed_lexicon):
-    failed = scan("selva oscura", seed_lexicon)
-    with pytest.raises(AnalysisError):
-        accent_pattern(failed)
+    chosen = scan("Nel mezzo del cammin di nostra vita", seed_lexicon).chosen
+    assert chosen.stresses() == profile("-+---+-+-+-")
 
 
 def test_accent_pattern_includes_tenth(seed_lexicon, canto_document):
     report = scan_document(canto_document, seed_lexicon, ScanConfig())
     for record in report.records:
-        pattern = accent_pattern(record.scansion)
-        assert pattern.positions[9], record.location
-        assert len(pattern.positions) == record.scansion.chosen.count
+        stresses = record.scansion.chosen.stresses()
+        assert stresses[9], record.location
+        assert len(stresses) == record.scansion.chosen.count
 
 
 def test_accent_pattern_one_word_verse(seed_lexicon):
     tokens = tokenize(normalize_line("Amore"))
     scansion = scan_verse(tokens, seed_lexicon, ScanConfig(require_a10=False))
-    assert accent_pattern(scansion).rendered == "-+-"
+    assert scansion.chosen.stresses() == profile("-+-")
 
 
 def test_accent_pattern_secondary_flag(seed_lexicon):
-    scansion = scan("con tre gole caninamente latra", seed_lexicon)
-    without = accent_pattern(scansion)
-    with_secondary = accent_pattern(scansion, include_secondary=True)
-    assert not without.positions[5]
-    assert with_secondary.positions[5]
-
-
-def test_metric_units_paper_pair():
-    assert metric_units(AccentPattern(tuple(
-        c == "+" for c in "-+---+-+-+-"))) == "1/4/2/2/2/"
-
-
-def test_metric_units_degenerate_patterns():
-    assert metric_units(AccentPattern((True, True, True))) == "1/1/1/"
-    # unstressed prefix counts as its own unit; the last unit runs to
-    # the end of the verse, so units always sum to the verse length
-    assert metric_units(AccentPattern((False,) * 4 + (True,))) == "4/1/"
-    with pytest.raises(AnalysisError):
-        metric_units(AccentPattern((False, False)))
+    chosen = scan("con tre gole caninamente latra", seed_lexicon).chosen
+    assert not chosen.stresses()[5]
+    assert chosen.stresses(include_secondary=True)[5]
 
 
 def test_pattern_histogram_totals(seed_lexicon, canto_document):
@@ -115,8 +94,10 @@ def test_pattern_histogram_empty(seed_lexicon):
 def test_pattern_histogram_counts_duplicates(seed_lexicon):
     text = ("Inferno: Canto I\n\n"
             "Nel mezzo del cammin di nostra vita\n"
+            "selva oscura\n"
             "Nel mezzo del cammin di nostra vita\n")
     report = scan_document(parse_corpus(text), seed_lexicon, ScanConfig())
+    assert report.failures == [("Inferno", 1, 2)]  # skipped: no chosen state
     assert pattern_histogram(report) == {"-+---+-+-+-": 2}
 
 

@@ -383,14 +383,19 @@ def test_commands_agree_on_an_amended_verse(capsys, tmp_path):
     assert sum(int(line.split("\t")[1]) for line in out.splitlines()[1:]) == 81
 
 
-def test_corpus_contains_a_bad_analysis_to_its_verse(capsys, monkeypatch,
-                                                     tmp_path):
+@pytest.fixture
+def bad_selva(monkeypatch):
+    """The seed lexicon as the default, with "selva" cut as "sel|v"."""
     from endecascan import cli
     from endecascan.lexicon import Propensity, WordAnalysis
     lex = cli.parse_lexicon(pathlib.Path(SEED).read_text("utf-8"))
     bad = lex.with_override("selva", [WordAnalysis(
         ("sel", "v"), (-1,), Propensity.prob(0), Propensity.prob(1))])
     monkeypatch.setattr(cli, "load_default_lexicon", lambda: bad)
+
+
+def test_corpus_contains_a_bad_analysis_to_its_verse(capsys, bad_selva,
+                                                     tmp_path):
     code, out, _ = run(capsys, "corpus", "--in", CANTO, "--out", str(tmp_path))
     assert code == 1
     # verses 2 and 5 hold "selva"
@@ -402,21 +407,31 @@ def test_corpus_contains_a_bad_analysis_to_its_verse(capsys, monkeypatch,
     assert "\n?? mi ritrovai per una selva oscura,\n" in syl
 
 
-def test_scan_fails_a_bad_analysis_as_corpus_does(capsys, tmp_path):
-    # a valid row whose key is "İ" lowered, two characters for the
-    # one-character "İ" of the verse
-    lex = tmp_path / "dotted.lex"
-    lex.write_text("i\u0307\t1\t1.0\t1.0\ti\u0307\t0\n", "utf-8")
-    assert run(capsys, "lex", "check", str(lex))[0] == 0
-    code, out, err = run(capsys, "scan", "--lexicon", str(lex), "İ")
-    assert (code, out, err) == (1, "", "endecascan: no admissible scansion\n")
-    src = tmp_path / "dotted.txt"
-    src.write_text("Inferno: Canto I\n\nİ\n", "utf-8")
-    code, out, _ = run(capsys, "corpus", "--lexicon", str(lex), "--in", str(src),
-                       "--out", str(tmp_path / "out"))
+def scan_and_corpus_status(capsys, tmp_path, verse):
+    """`scan`'s outcome on a verse, and its status in a `corpus` report."""
+    scanned = run(capsys, "scan", verse)
+    src = tmp_path / "verse.txt"
+    src.write_text(f"Inferno: Canto I\n\n{verse}\n", "utf-8")
+    code, _, _ = run(capsys, "corpus", "--in", str(src),
+                     "--out", str(tmp_path / "out"))
     assert code == 1
-    rows = (tmp_path / "out" / "dotted.report.tsv").read_text("utf-8")
-    assert rows.splitlines()[1].split("\t")[8] == "fail-bad-analysis"
+    rows = (tmp_path / "out" / "verse.report.tsv").read_text("utf-8")
+    return scanned, rows.splitlines()[1].split("\t")[8]
+
+
+def test_scan_fails_a_bad_analysis_as_corpus_does(capsys, bad_selva, tmp_path):
+    assert scan_and_corpus_status(
+        capsys, tmp_path, "mi ritrovai per una selva oscura,") == (
+        (1, "", "endecascan: no admissible scansion\n"), "fail-bad-analysis")
+
+
+def test_a_dotted_capital_i_reaches_the_scanner(capsys, monkeypatch, tmp_path):
+    # "İ" keys as the seed's "i", one character for one: the verse is
+    # scanned, and fails as a lone "i" does, for want of a tenth stress
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    assert scan_and_corpus_status(capsys, tmp_path, "İ") == (
+        (1, "", "endecascan: no admissible scansion\n  best rejected: |İ\n"),
+        "fail-no-accent10")
 
 
 def run_fresh(cwd, script):

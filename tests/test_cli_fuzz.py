@@ -3,14 +3,16 @@
 Exit 0 or 1, or exit 2 with nothing on stdout and an `endecascan:` line
 last on stderr; never an exception that escapes `main`.  The files are
 generated: corpora with canto headers, tabs, Roman numerals and U+2018,
-lexicon, amendment and rule files with bad rows among good ones, and
-now and then a byte that is not UTF-8.  A query that succeeds prints the
-table that the corpus's unfiltered records give.
+or a header over a run of the canto's lines, lexicon, amendment and rule
+files with bad rows among good ones, and now and then a byte that is not
+UTF-8.  A query that succeeds prints the table that the corpus's
+unfiltered records give, and most queries print a row of it.
 """
 
 import contextlib
 import io
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -21,11 +23,17 @@ from endecascan.analysis import classify_word, occurrences_tsv
 from endecascan.cli import _scan_records, build_parser, main
 from endecascan.tokenizer import lex_key
 
-SEED_TEXT = (pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
-             / "seed.lex").read_text("utf-8")
+SEED = (pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
+        / "seed.lex")
+SEED_TEXT = SEED.read_text("utf-8")
+# the canto's lines after its header, blank lines between tercets included
+CANTO_LINES = (pathlib.Path(__file__).parent / "data" / "inferno_i.txt"
+               ).read_text("utf-8").splitlines()[2:]
+MARKS = ",.;:!?«»“”"
+ELISION = re.compile(r"(?<=\w)’")
 
 # what a line is made of: lexicon words, capitals, unknown and vowelless
-# words, marks, numerals; "İ" lowers to two characters
+# words, marks, numerals; "İ" keys as "i", one character as in the word
 PIECES = ["İ", "nel", "mezzo", "del", "cammin", "di", "nostra", "vita",
           "selva", "oscura", "e", "a", "o", "che", "la", "tra", "Selva", "E",
           "xyzzy", "pss", "l’", "d’", "ch’", "‘", "’", "'", "«", "»", ",", ".",
@@ -34,7 +42,7 @@ SEPARATORS = [" ", " ", " ", "", "\t", "  "]
 
 # rows every generated lexicon has, and rows that make a lexicon invalid
 GOOD_LEXICON_ROWS = [
-    "i\u0307\t1\t1.0\t1.0\ti\u0307\t0",  # valid, but "İ" is one character
+    "i\u0307\t1\t1.0\t1.0\ti\u0307\t0",  # valid; no word keys as "i̇"
     "xyzzy\t1\tA\tA\txyz|zy\t-1", "@stress-ineligible\te\ta", "# comment",
 ]
 BAD_LEXICON_ROWS = [
@@ -69,6 +77,27 @@ corpus_st = st.builds(
     lambda header, lines: "\n".join([header, *lines]), header_st,
     st.lists(st.one_of(verse_st, verse_st, verse_st, st.just(""), header_st),
              max_size=7))
+word_st = st.sampled_from(PIECES + " ".join(VERSES).split())
+
+
+@st.composite
+def canto_run_st(draw):
+    """A header over a run of the canto's lines, which mostly scan, and a
+    word of that run: a verse's first one now and then, capitalised."""
+    start = draw(st.integers(0, len(CANTO_LINES) - 2))
+    lines = CANTO_LINES[start:start + draw(st.integers(2, 12))]
+    # words as the verses key them: split after an elision, marks stripped
+    verses = [ELISION.sub("’ ", line).split() for line in lines if line]
+    firsts = [words[0].strip(MARKS) for words in verses]
+    words = [w.strip(MARKS) for words in verses for w in words]
+    word = draw(st.sampled_from([w for w in words if w])
+                | st.sampled_from(firsts))
+    return "\n".join(["Inferno: Canto I", "", *lines]), word
+
+
+# a corpus and the word a query asks for; mostly a run of the canto
+corpus_word_st = st.sampled_from([canto_run_st()] * 4 + [
+    st.tuples(corpus_st, word_st)]).flatmap(lambda strategy: strategy)
 # mostly the seed lexicon and valid, so that most verses reach the scanner
 lexicon_st = st.builds(
     lambda seed, bad: "\n".join([SEED_TEXT if seed else "", *GOOD_LEXICON_ROWS,
@@ -89,11 +118,13 @@ amendments_st = st.lists(st.one_of(amendment_st, st.just("# comment")),
                          max_size=3).map("\n".join)
 rules_st = st.lists(st.sampled_from(RULE_ROWS), max_size=4).map("\n".join)
 
+tail_st = st.sampled_from([b""] * 15 + [b"\xe9\n"])
+
 
 def file_st(text_st):
     """A file's bytes: the text as UTF-8, now and then with a byte that is not."""
     return st.builds(lambda text, tail: text.encode("utf-8") + tail, text_st,
-                     st.sampled_from([b""] * 15 + [b"\xe9\n"]))
+                     tail_st)
 
 
 COMMANDS = {
@@ -103,7 +134,9 @@ COMMANDS = {
     "corpus --amendments": ["corpus", "--lexicon", "{d}/lexicon", "--in",
                             "{d}/corpus", "--out", "{d}/out",
                             "--amendments", "{d}/amendments"],
-    "query": ["query", "--word", "{word}", "--lexicon", "{d}/lexicon",
+    # the seed lexicon, so that a query's verses mostly scan; the generated
+    # ones reach the same loading code through stats and corpus
+    "query": ["query", "--word", "{word}", "--lexicon", str(SEED),
               "--in", "{d}/corpus"],
     "stats": ["stats", "--lexicon", "{d}/lexicon", "--in", "{d}/corpus"],
     "lex check": ["lex", "check", "{d}/lexicon"],
@@ -112,16 +145,16 @@ COMMANDS = {
 }
 
 
-# one run per command, so that each gets its share of examples
-@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(verse=verse_st,
-       word=st.sampled_from(PIECES + " ".join(VERSES).split()),
+@given(verse=verse_st, corpus_word=corpus_word_st, corpus_tail=tail_st,
        files=st.fixed_dictionaries({
-           "lexicon": file_st(lexicon_st), "corpus": file_st(corpus_st),
-           "amendments": file_st(amendments_st), "rules": file_st(rules_st)}))
-def test_every_input_ends_in_a_documented_outcome(command, verse, word, files):
+           "lexicon": file_st(lexicon_st), "amendments": file_st(amendments_st),
+           "rules": file_st(rules_st)}))
+def check_outcomes(command, printed_rows, verse, corpus_word, corpus_tail,
+                   files):
+    corpus, word = corpus_word
+    files = dict(files, corpus=corpus.encode("utf-8") + corpus_tail)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
@@ -137,7 +170,19 @@ def test_every_input_ends_in_a_documented_outcome(command, verse, word, files):
                 records = _scan_records(build_parser().parse_args(argv))
                 want = occurrences_tsv(classify_word(key, records))
             assert out.getvalue() == want
+    printed_rows.append(code == 0 and len(out.getvalue().splitlines()) > 1)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().splitlines()[-1].startswith("endecascan: ")
+
+
+# one run per command, so that each gets its share of examples
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_every_input_ends_in_a_documented_outcome(command):
+    printed_rows = []  # one flag per example
+    check_outcomes(command, printed_rows)
+    if command[0] == "query":
+        # a query compares tables only where a verse scans and holds its word
+        assert sum(printed_rows) >= len(printed_rows) / 3, \
+            f"{sum(printed_rows)} of {len(printed_rows)} queries printed a row"

@@ -10,7 +10,7 @@ from endecascan.corpus import (Amendment, AmendmentMismatch, CorpusFormatError,
                                apply_amendments, int_to_roman, parse_amendments,
                                parse_corpus, render_scansion, roman_to_int,
                                scan_document, scan_records, write_outputs)
-from endecascan.scander import ScanConfig, scan_verse
+from endecascan.scander import ScanConfig, ScanStatus, scan_verse
 from endecascan.tokenizer import normalize_line, tokenize, word_tokens
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -147,7 +147,7 @@ def test_bundled_amendments_skip_what_they_cannot_apply(capsys):
 def test_scan_document_canto(seed_lexicon, canto_document):
     report = scan_document(canto_document, seed_lexicon, ScanConfig())
     assert len(report.records) == 136
-    assert len(report.ok) == 136
+    assert all(r.scansion.status is ScanStatus.OK for r in report)
     assert report.anomalies == []
     assert report.failures == []
     locations = [r.location for r in report.records]
@@ -159,15 +159,16 @@ def test_scan_document_collects_unknown_words(seed_lexicon):
     doc = parse_corpus("Inferno: Canto I\n\nNel mezzo del xyzzy di nostra vita\n"
                        "mi ritrovai per una selva oscura,\n")
     report = scan_document(doc, seed_lexicon, ScanConfig())
-    assert report.unknown_words == {"xyzzy": 1}
-    assert len(report.failures) == 1
-    assert len(report.ok) == 1
+    assert [r.scansion.unknown_key for r in report] == ["xyzzy", None]
+    assert report.failures == [("Inferno", 1, 1)]
+    assert report.records[1].scansion.status is ScanStatus.OK
 
 
 def test_report_partitions_every_verse(seed_lexicon):
     doc = parse_corpus((DATA / "anomalies_fixture.txt").read_text("utf-8"))
     report = scan_document(doc, seed_lexicon, ScanConfig())
-    total = len(report.ok) + len(report.anomalies) + len(report.failures)
+    ok = [r for r in report if r.scansion.status is ScanStatus.OK]
+    total = len(ok) + len(report.anomalies) + len(report.failures)
     assert total == len(report.records)
     assert ("Inferno", 10, 1) in report.anomalies  # mi pinser tra le sepulture
 

@@ -159,9 +159,20 @@ ASPRA = WordAnalysis(("a", "spra"), (-1,), P(1), P(1))
 DI = WordAnalysis(("di",), (0,), P(0), P(1))
 
 
-def test_advance_forks_on_noncategorical_meld():
-    state = ScanState(text="|e|sta |sel|va |sel|vag|gia", likelihood=1.0,
-                      count=7, pending_p_r=P(1))
+def prefix(lex, text):
+    """The one state that `advance` reaches from the root over text."""
+    states = [ScanState()]
+    for index, token in enumerate(word_tokens(tokenize(text))):
+        states = advance(states, token, lex.lookup(token.key), index,
+                         lex.is_stress_eligible(token.key), ScanConfig())
+    (state,) = states
+    return state
+
+
+def test_advance_forks_on_noncategorical_meld(seed_lexicon):
+    state = prefix(seed_lexicon, "esta selva selvaggia")
+    assert (state.text, state.count, state.pending_p_r) == \
+        ("|e|sta |sel|va |sel|vag|gia", 7, P(1))
     successors = advance([state], word_token("e"), (E_ANALYSIS,), 3, False,
                          ScanConfig())
     assert [s.count for s in successors] == [7, 8]
@@ -172,9 +183,8 @@ def test_advance_forks_on_noncategorical_meld():
     assert all(s.pending_p_r == P(0.2) for s in successors)
 
 
-def test_advance_compounds_branches():
-    state = ScanState(text="|e|sta |sel|va |sel|vag|gia", likelihood=1.0,
-                      count=7, pending_p_r=P(1))
+def test_advance_compounds_branches(seed_lexicon):
+    state = prefix(seed_lexicon, "esta selva selvaggia")
     cfg = ScanConfig()
     states = advance([state], word_token("e"), (E_ANALYSIS,), 3, False, cfg)
     states = advance(states, word_token("aspra"), (ASPRA,), 4, True, cfg)
@@ -182,39 +192,14 @@ def test_advance_compounds_branches():
     assert likelihoods == [0.72, 0.18, 0.08, 0.02]
 
 
-def test_advance_deterministic_word_single_successor():
-    state = ScanState(text="|Nel |mez|zo |del |cam|min", likelihood=1.0,
-                      count=6, pending_p_r=P(0))
-    (successor,) = advance([state], word_token("di"), (DI,), 5, False,
+def test_advance_deterministic_word_single_successor(seed_lexicon):
+    state = prefix(seed_lexicon, "Nel mezzo del cammin")
+    assert (state.count, state.pending_p_r) == (6, P(0))
+    (successor,) = advance([state], word_token("di"), (DI,), 4, False,
                            ScanConfig())
     assert successor.count == 7
     assert successor.likelihood == 1.0
     assert successor.text == "|Nel |mez|zo |del |cam|min |di"
-
-
-def test_advance_keeps_caller_prefix():
-    prefix = (AccentMark(2, True, True, 0), AccentMark(4, True, True, 1),
-              AccentMark(6, True, True, 2))
-    state = ScanState(text="|e|sta |sel|va |sel|vag|gia", likelihood=1.0,
-                      count=7, pending_p_r=P(1), a4=True, a6=True,
-                      melds=(False, False, False), accents=prefix)
-    cfg = ScanConfig()
-    states = advance([state], word_token("e"), (E_ANALYSIS,), 3, False, cfg)
-    states = advance(states, word_token("aspra"), (ASPRA,), 4, True, cfg)
-    assert len(states) == 4
-    for s in states:
-        assert s.melds[:3] == (False, False, False)
-        assert len(s.melds) == 5
-        assert s.accents[:3] == prefix
-        assert [m.word_index for m in s.accents[3:]] == [3, 4]
-        assert s.accents[-1].position == s.count - 1  # àspra
-        # the root's own marks count in the profile too
-        stressed = {m.position for m in s.accents if m.eligible and m.primary}
-        assert s.stresses() == tuple(i in stressed
-                                     for i in range(1, s.count + 1))
-    assert [s.melds[3:] for s in states] == \
-        [(True, True), (True, False), (False, True), (False, False)]
-    assert states[0].text == "|e|sta |sel|va |sel|vag|gia e a|spra"
 
 
 @pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
@@ -330,9 +315,8 @@ def test_finalize_empty_reports_failure():
 
 def test_finalize_tie_break_prefers_fewer_syllables():
     def state(count, order):
-        return ScanState(text="|x" * count, likelihood=0.25, count=count,
-                         pending_p_r=P(0), a4=True, a10=True,
-                         accent10_word_index=0, order=order)
+        return ScanState(likelihood=0.25, count=count, pending_p_r=P(0),
+                         a4=True, a10=True, accent10_word_index=0, order=order)
 
     result = finalize([state(11, 0), state(10, 1)], ScanConfig(), 3)
     assert result.chosen.count == 10

@@ -194,3 +194,43 @@ def test_empty_rule_file_is_the_default_rule_config():
     # a rules file replaces the bundled hiatus list rather than extending it
     assert load_rule_config("") == RuleConfig()
     assert load_rule_config("") != default_config()
+
+
+# the seed dictionary's single-analysis keys whose rule draft differs from
+# the hand entry, per field; a measurement of the drafts, not a target
+DRAFT_DISAGREEMENTS = {
+    "syllables": {
+        "aere", "ahi", "avea", "avean", "com’", "dicea", "disio", "dovea",
+        "facea", "parea", "potea", "sii", "solea", "tenea", "vedea"},
+    "primary accent": {
+        "ahi", "aiutami", "anima", "animo", "avea", "cesare", "combatter",
+        "com’", "dicea", "disio", "dovea", "eran", "esser", "essere",
+        "ettore", "facea", "femmine", "furon", "lagrime", "misericordes",
+        "parea", "partia", "patrïa", "pelago", "perch’", "pinser", "potea",
+        "rispuosemi", "scendere", "sii", "simil", "solea", "speran",
+        "spiriti", "tenea", "umile", "uscia", "vagliami", "vedea",
+        "venendomi", "vergine", "vidila", "vipera", "viver"},
+    "propensities": {
+        "ahi", "avea", "com’", "cu’", "dicea", "disio", "dovea", "facea",
+        "parea", "partia", "potea", "sii", "solea", "tenea", "uscia",
+        "vedea"},
+}
+
+
+def test_drafts_against_the_seed_dictionary(cfg, seed_lexicon):
+    single = {key: analyses[0] for key, analyses in seed_lexicon.entries.items()
+              if len(analyses) == 1}
+    differ = {field: set() for field in DRAFT_DISAGREEMENTS}
+    for key, entry in single.items():
+        (draft,) = build_analyses(key, cfg)
+        if draft.syllables != entry.syllables:
+            differ["syllables"].add(key)
+        if draft.accents[0] != entry.accents[0]:
+            differ["primary accent"].add(key)
+        if (draft.p_l, draft.p_r) != (entry.p_l, entry.p_r):
+            differ["propensities"].add(key)
+    assert differ == DRAFT_DISAGREEMENTS
+    agree = {field: len(single) - len(keys) for field, keys in differ.items()}
+    assert (len(single), agree) == (608, {
+        "syllables": 593, "primary accent": 564, "propensities": 592})
+    assert len(single) - len(set().union(*differ.values())) == 561  # all three
