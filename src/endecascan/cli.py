@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
-# corpus, analysis, seedlex and wordrules are imported inside the commands
-# that use them, so that `scan` and `lex check` start without them
-from .lexicon import (InputError, Lexicon, LexiconError, parse_lexicon,
-                      serialize_lexicon)
+# corpus, analysis and wordrules are imported inside the commands that use
+# them, so that `scan` and `lex check` start without them
+from .lexicon import (InputError, Lexicon, LexiconError, bundled_text,
+                      parse_lexicon, serialize_lexicon)
 from .scander import ScanConfig, ScanStatus, scan_verse
 from .tokenizer import lex_key, normalize_line, tokenize, word_tokens
 
@@ -45,8 +44,7 @@ def load_default_lexicon() -> Lexicon:
     env = os.environ.get("ENDECASCAN_LEXICON")
     if env:
         return parse_lexicon(_read_text(env))
-    text = resources.files("endecascan").joinpath("data", "seed.lex").read_text("utf-8")
-    return parse_lexicon(text)
+    return parse_lexicon(bundled_text("seed.lex"))
 
 
 def _load_lexicon(path: str | None) -> Lexicon:
@@ -112,7 +110,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_lex_build(args) -> int:
-    from . import seedlex, wordrules
+    from . import wordrules
     from .corpus import HEADER_RE
     cfg = (wordrules.load_rule_config(_read_text(args.rules))
            if args.rules else wordrules.default_config())
@@ -126,7 +124,7 @@ def _cmd_lex_build(args) -> int:
         kept = " ".join(w for w in line.split() if not w.startswith("#"))
         tokens = tokenize(normalize_line(kept))
         words += (token.key for token in word_tokens(tokens))
-    lex = seedlex.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
+    lex = wordrules.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
     sys.stdout.write(serialize_lexicon(lex))
     return EXIT_OK
 
@@ -150,11 +148,8 @@ def _scan_records(args, key: str | None = None):
     from . import corpus
     lex = _load_lexicon(args.lexicon)
     doc = corpus.parse_corpus(_read_text(args.infile))
-    if args.amendments:
-        amendments = _read_text(args.amendments)
-    else:
-        amendments = resources.files("endecascan").joinpath(
-            "data", "amendments.tsv").read_text("utf-8")
+    amendments = (_read_text(args.amendments) if args.amendments
+                  else bundled_text("amendments.tsv"))
     doc = corpus.apply_amendments(doc, corpus.parse_amendments(amendments),
                                   strict=bool(args.amendments))
     return corpus.scan_records(doc, lex, ScanConfig(), key)

@@ -21,6 +21,7 @@ keys declares the monosyllables that never count as metrical accents.
 
 from __future__ import annotations
 
+from importlib import resources
 from typing import Iterable, Mapping
 
 WEIGHT_TOLERANCE = 1e-9
@@ -266,6 +267,11 @@ def _parse_rows(text: str) -> tuple[dict[str, list[WordAnalysis]], list[str]]:
             raise LexiconParseError(str(exc), line_no) from None
         entries.setdefault(key, []).append(analysis)
     return entries, ineligible
+
+
+def bundled_text(name: str) -> str:
+    """The text of a data file shipped in the package's `data` folder."""
+    return resources.files("endecascan").joinpath("data", name).read_text("utf-8")
 
 
 def parse_lexicon(text: str) -> Lexicon:

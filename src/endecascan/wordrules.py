@@ -1,22 +1,26 @@
-"""Default rules for building word analyses from raw forms.
+"""Default rules for building word analyses from raw forms, and the
+draft lexicon `lex build` makes with them.
 
 These rules bootstrap dictionary entries: standard splitting into
 syllables, accent placement, and synalephe-propensity initialization.
 They are deliberately rule-of-thumb; exotic forms (Latin, Provençal,
 proparoxytones) are corrected by hand in the shipped dictionary, which
-always wins over rule output.
+always wins over rule output.  Forms listed in the nondeterministic
+table get their variant set verbatim instead; variants flagged opt-in
+(the -ea imperfects and the bare io/mio pronouns, which the shipped
+dictionary keeps deterministic) are only drafted with all_variants.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from typing import Iterable, Mapping
 
-from .lexicon import (PROB_ONE, PROB_ZERO, InputError, LexiconValidationError,
-                      Propensity, WordAnalysis)
-from .tokenizer import APOSTROPHE
+from .lexicon import (PROB_ONE, PROB_ZERO, InputError, Lexicon,
+                      LexiconValidationError, Propensity, WordAnalysis,
+                      _parse_rows, build_lexicon, bundled_text, parse_lexicon)
+from .tokenizer import APOSTROPHE, lex_key
 
 STRONG_VOWELS = set("aeoàèéòóâêô")
 WEAK_VOWELS = set("iuìíîùúû")
@@ -61,16 +65,6 @@ class WordRuleError(InputError):
     pass
 
 
-def _load_wordlist(name: str) -> frozenset[str]:
-    text = resources.files("endecascan").joinpath("data", name).read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
-
-
 @dataclass(frozen=True)
 class RuleConfig:
     """Tunable data behind the default analysis rules."""
@@ -94,7 +88,10 @@ class RuleConfig:
 
 
 def default_config() -> RuleConfig:
-    return RuleConfig(hiatus_exception_words=_load_wordlist("hiatus_words.txt"))
+    """`RuleConfig()` with the bundled hiatus list."""
+    lines = (line.strip() for line in bundled_text("hiatus_words.txt").splitlines())
+    return RuleConfig(hiatus_exception_words=frozenset(
+        line.lower() for line in lines if line and not line.startswith("#")))
 
 
 def load_rule_config(text: str) -> RuleConfig:
@@ -255,7 +252,7 @@ def _legal_onset(cluster: str) -> bool:
     return False
 
 
-def split_syllables(form: str, cfg: RuleConfig | None = None) -> list[str]:
+def split_syllables(form: str, cfg: RuleConfig) -> list[str]:
     """Split a word form into syllables.
 
     Onsets are maximized within the bounds of Italian phonotactics;
@@ -264,7 +261,6 @@ def split_syllables(form: str, cfg: RuleConfig | None = None) -> list[str]:
     """
     if not form:
         raise WordRuleError("empty word form")
-    cfg = cfg or RuleConfig()
     hiatus_word = form.lower() in cfg.hiatus_exception_words
     nuclei = _nuclei(form, hiatus_word)
     if not nuclei:
@@ -302,7 +298,7 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
             primary = idx - (n - 1)
     if primary is None:
         last = form.lower().rstrip(APOSTROPHE)
-        final_nucleus = _nucleus_of(sylls[-1]).rstrip(APOSTROPHE)
+        final_nucleus = _nucleus(sylls[-1], -1)
         if n == 1:
             primary = 0
         elif sylls[-1].endswith(APOSTROPHE) and not _is_vowel(sylls[-1][0]):
@@ -327,29 +323,24 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
     return accents
 
 
-def _nucleus_of(syllable: str) -> str:
-    # reuse the nucleus scan so spelling glides are skipped
+def _nucleus(syllable: str, index: int) -> str:
+    """The syllable's first (index 0) or last (-1) nucleus, lowercase and
+    without its apostrophe; the nucleus scan skips spelling glides."""
     spans = _nuclei(syllable, hiatus_word=False)
     if not spans:
         return ""
-    s, e = spans[-1]
-    return syllable.lower()[s:e]
-
-
-def _first_nucleus(syllable: str) -> str:
-    spans = _nuclei(syllable, hiatus_word=False)
-    return syllable.lower()[spans[0][0]:spans[0][1]] if spans else ""
+    s, e = spans[index]
+    return syllable.lower()[s:e].rstrip(APOSTROPHE)
 
 
 def init_propensities(form: str, syllables: list[str] | tuple[str, ...],
-                      cfg: RuleConfig | None = None) -> tuple[Propensity, Propensity]:
+                      cfg: RuleConfig) -> tuple[Propensity, Propensity]:
     """Initial left/right synalephe propensities for a word form.
 
     Decision cascade per side, first match wins: apostrophe sentinel,
     never-synalephe monosyllables, calibrated monosyllables, accented
     final vowel, final/initial diphthong, plain vowel/consonant contact.
     """
-    cfg = cfg or RuleConfig()
     if not syllables:
         raise WordRuleError("empty syllable list")
     low = form.lower()
@@ -376,14 +367,14 @@ def init_propensities(form: str, syllables: list[str] | tuple[str, ...],
     if p_r is None and low[-1] in ACCENTED_VOWELS:
         p_r = Propensity.prob(cfg.accented_final_default_p_r)
     if p_r is None:
-        nucleus = _nucleus_of(syllables[-1]).rstrip(APOSTROPHE)
+        nucleus = _nucleus(syllables[-1], -1)
         # a final diphthong carrying the stress refuses the synalephe; a
         # hiatus-list word read contracted keeps its stress in the cluster
         if len(nucleus) >= 2 and (accents[0] == 0
                                   or low in cfg.hiatus_exception_words):
             p_r = Propensity.prob(cfg.diphthong_boundary_p)
     if p_l is None:
-        first = _first_nucleus(syllables[0]).rstrip(APOSTROPHE)
+        first = _nucleus(syllables[0], 0)
         if len(first) >= 2 and first[0] == "i":
             p_l = Propensity.prob(cfg.diphthong_boundary_p)
 
@@ -396,7 +387,7 @@ def init_propensities(form: str, syllables: list[str] | tuple[str, ...],
     return p_l, p_r
 
 
-def build_analyses(form: str, cfg: RuleConfig | None = None,
+def build_analyses(form: str, cfg: RuleConfig,
                    nondet: Mapping[str, Iterable[WordAnalysis]] | None = None,
                    ) -> list[WordAnalysis]:
     """Compose the three rules into dictionary entries for a form.
@@ -404,7 +395,6 @@ def build_analyses(form: str, cfg: RuleConfig | None = None,
     Forms listed in the nondeterministic table take their entries from
     it verbatim; everything else gets a single weight-1 analysis.
     """
-    cfg = cfg or RuleConfig()
     if nondet and form.lower() in nondet:
         return list(nondet[form.lower()])
     syllables = split_syllables(form, cfg)
@@ -412,3 +402,40 @@ def build_analyses(form: str, cfg: RuleConfig | None = None,
     p_l, p_r = init_propensities(form, syllables, cfg)
     lowered = tuple(s.lower() for s in syllables)
     return [WordAnalysis(lowered, tuple(accents), p_l, p_r, 1.0)]
+
+
+def load_nondet_table(all_variants: bool = False) -> dict[str, list[WordAnalysis]]:
+    """Nondeterministic word table from the bundled data file.
+
+    Rows are lexicon rows with an optin column after the key; optin=1
+    rows are read only with all_variants.  Errors count a row's fields
+    without its optin column.
+    """
+    rows = []
+    for line in bundled_text("nondet_words.tsv").splitlines():
+        fields = line.split("\t")
+        optin = fields.pop(1) if len(fields) > 1 else None
+        # a skipped row stays as a blank line, so errors name the file's lines
+        rows.append("" if optin == "1" and not all_variants else "\t".join(fields))
+    table, _ = _parse_rows("\n".join(rows))
+    # renormalize single-variant leftovers of opt-in families
+    for key, variants in table.items():
+        total = sum(v.weight for v in variants)
+        if abs(total - 1.0) > 1e-9:
+            table[key] = [WordAnalysis(v.syllables, v.accents, v.p_l, v.p_r,
+                                       v.weight / total) for v in variants]
+    return table
+
+
+def build_draft_lexicon(words: Iterable[str], cfg: RuleConfig,
+                        all_variants: bool = False) -> Lexicon:
+    """Draft entries for words, keyed as the scanner keys them; the
+    stress-ineligible keys are those the bundled dictionary declares."""
+    nondet = load_nondet_table(all_variants)
+    entries: dict[str, list[WordAnalysis]] = {}
+    for word in words:
+        key = lex_key(word)
+        if key not in entries:
+            entries[key] = build_analyses(key, cfg, nondet)
+    ineligible = parse_lexicon(bundled_text("seed.lex")).stress_ineligible
+    return build_lexicon(entries, ineligible & set(entries))

@@ -1,14 +1,14 @@
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
-from endecascan import seedlex
 from endecascan.cli import main
+from test_wordrules import fake_nondet_table
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parents[1] / "src"
@@ -158,16 +158,28 @@ def test_lex_build_normalizes_each_line_whole(capsys, tmp_path):
 
 def test_lex_build_rejects_out_of_range_propensity(capsys, monkeypatch,
                                                    tmp_path):
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "nondet_words.tsv").write_text(
-        "avea\t0\t1\t1\t1.5\ta|vea\t0\n", "utf-8")
-    monkeypatch.setattr(seedlex, "resources",
-                        SimpleNamespace(files=lambda package: tmp_path))
+    fake_nondet_table(monkeypatch, "avea\t0\t1\t1\t1.5\ta|vea\t0\n")
     words = tmp_path / "words.txt"
     words.write_text("avea\n", "utf-8")
     code, out, err = run(capsys, "lex", "build", "--words", str(words))
     assert code == 2 and not out
     assert err == "endecascan: line 1: propensity '1.5' outside [0, 1]\n"
+
+
+# sha256 of `lex build --words inferno_i.txt` stdout; only a deliberate
+# change to the drafting rules or their bundled data may update these
+LEX_BUILD_SHA256 = {
+    (): "fb475a6b38345ba32ad4f9d388f42d7f75ec48f0d9dc3542f4f7dffefe646528",
+    ("--all-variants",):
+        "f463e087a39c628bccd1625c61b10cb7c0eee6474ec79c66e87d2114b1e08dc6",
+}
+
+
+@pytest.mark.parametrize("flags", LEX_BUILD_SHA256, ids=["default", "all-variants"])
+def test_lex_build_output_of_the_canto_is_pinned(capsys, flags):
+    code, out, err = run(capsys, "lex", "build", "--words", CANTO, *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEX_BUILD_SHA256[flags]
 
 
 def test_lex_build_with_custom_rules(capsys, tmp_path):
@@ -455,7 +467,7 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
     codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert "endecascan.scander" in modules
-    for name in ("corpus", "analysis", "seedlex", "wordrules"):
+    for name in ("corpus", "analysis", "wordrules"):
         assert f"endecascan.{name}" not in modules
     assert "dataclasses" not in modules and "inspect" not in modules
 

@@ -19,6 +19,16 @@ def test_every_source_parses_with_the_oldest_supported_grammar():
         ast.parse(path.read_text("utf-8"), str(path), feature_version=(3, 10))
 
 
+def test_readme_layout_lists_every_module():
+    readme = (ROOT / "README.md").read_text("utf-8")
+    section = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` +\|", section, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "endecascan").glob("*.py")
+               if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
+    assert len(listed) == len(set(listed))
+
+
 def public_names():
     """(module, dotted name) for every name the README's "Public names"
     section lists, one bullet per module."""

@@ -199,9 +199,11 @@ def test_a_quote_left_inside_a_pair_is_decided_in_one_pass():
 
 
 @pytest.mark.parametrize("line", ["‘" * 20_000, "‘a" * 10_000,
-                                  "a" * 20_000 + "’"],
+                                  "a" * 20_000 + "’", "vita" + " ," * 20_000,
+                                  " «" * 20_000 + " vita"],
                          ids=["left-quotes", "left-quote-letter-pairs",
-                              "letters-then-apostrophe"])
+                              "letters-then-apostrophe", "word-then-marks",
+                              "marks-then-word"])
 def test_front_end_is_linear_on_long_lines(line):
     start = time.perf_counter()
     tokenize(normalize_line(line))

@@ -1,13 +1,12 @@
 import pathlib
-from types import SimpleNamespace
 
 import pytest
 
-from endecascan import seedlex
+from endecascan import wordrules
 from endecascan.lexicon import LexiconParseError, Propensity
-from endecascan.seedlex import load_nondet_table
 from endecascan.wordrules import (RuleConfig, WordRuleError, build_analyses,
-                                  default_config, init_propensities,
+                                  build_draft_lexicon, default_config,
+                                  init_propensities, load_nondet_table,
                                   load_rule_config, locate_accent,
                                   split_syllables)
 
@@ -156,23 +155,47 @@ def test_build_analyses_avea_variants(cfg):
     assert (diphthong.weight, hiatus.weight) == (0.9, 0.1)
 
 
+def fake_nondet_table(monkeypatch, text):
+    """Make wordrules read text as the bundled nondet_words.tsv, and every
+    other bundled file as shipped."""
+    bundled_text = wordrules.bundled_text
+    monkeypatch.setattr(wordrules, "bundled_text", lambda name: (
+        text if name == "nondet_words.tsv" else bundled_text(name)))
+
+
 @pytest.mark.parametrize("row, message", [
     ("avea\t0\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
     ("avea\t1\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
     ("avea\t0\t1\t1", "expected 6 fields, got 3"),
 ])
-def test_nondet_table_rows_are_checked_as_lexicon_rows(monkeypatch, tmp_path,
-                                                       row, message):
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "nondet_words.tsv").write_text(
-        "# key\toptin\tweight\tp_l\tp_r\tsyllabification\taccents\n"
-        f"creature\t0\t1\t0\t1\tcre|a|tu|re\t-1\n{row}\n", "utf-8")
-    monkeypatch.setattr(seedlex, "resources",
-                        SimpleNamespace(files=lambda package: tmp_path))
+def test_nondet_table_rows_are_checked_as_lexicon_rows(monkeypatch, row,
+                                                       message):
+    fake_nondet_table(monkeypatch,
+                      "# key\toptin\tweight\tp_l\tp_r\tsyllabification\taccents\n"
+                      f"creature\t0\t1\t0\t1\tcre|a|tu|re\t-1\n{row}\n")
     with pytest.raises(LexiconParseError) as exc:
         load_nondet_table(all_variants=True)
     assert exc.value.line_no == 3
     assert str(exc.value) == f"line 3: {message}"
+
+
+def test_nondet_table_agrees_with_the_seed_dictionary(seed_lexicon):
+    # without its opt-in rows the table drafts what the dictionary holds,
+    # and it holds every key the dictionary reads more than one way
+    table = load_nondet_table()
+    assert len(table) == 31
+    for key, variants in table.items():
+        assert tuple(variants) == seed_lexicon.entries[key], key
+    multi = {key for key, analyses in seed_lexicon.entries.items()
+             if len(analyses) > 1}
+    assert len(multi) == 19 and multi <= set(table)
+
+
+def test_drafts_are_keyed_as_the_scanner_keys_words(cfg):
+    lex = build_draft_lexicon(["İtalia", "Selva", "selva"], cfg)
+    assert list(lex.entries) == ["italia", "selva"]
+    (italia,) = lex.entries["italia"]
+    assert "".join(italia.syllables) == "italia"
 
 
 def test_rule_config_rejects_overlap():
