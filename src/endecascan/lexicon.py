@@ -223,9 +223,8 @@ def _parse_propensity(text: str, line_no: int) -> Propensity:
     return Propensity(value)
 
 
-def _parse_rows(text: str) -> tuple[dict[str, list[WordAnalysis]], list[str]]:
-    """The analyses by key and the stress-ineligible keys of a text in the
-    format described above, each row checked; weights are not summed."""
+def parse_lexicon(text: str) -> Lexicon:
+    """Parse the TAB-separated dictionary format described above."""
     entries: dict[str, list[WordAnalysis]] = {}
     ineligible: list[str] = []
     # a lexicon holds few distinct propensity texts: parse each one once
@@ -266,21 +265,15 @@ def _parse_rows(text: str) -> tuple[dict[str, list[WordAnalysis]], list[str]]:
         except LexiconValidationError as exc:
             raise LexiconParseError(str(exc), line_no) from None
         entries.setdefault(key, []).append(analysis)
-    return entries, ineligible
+    try:
+        return build_lexicon(entries, ineligible)
+    except LexiconValidationError as exc:
+        raise LexiconValidationError(f"invalid lexicon: {exc}") from None
 
 
 def bundled_text(name: str) -> str:
     """The text of a data file shipped in the package's `data` folder."""
     return resources.files("endecascan").joinpath("data", name).read_text("utf-8")
-
-
-def parse_lexicon(text: str) -> Lexicon:
-    """Parse the TAB-separated dictionary format described above."""
-    entries, ineligible = _parse_rows(text)
-    try:
-        return build_lexicon(entries, ineligible)
-    except LexiconValidationError as exc:
-        raise LexiconValidationError(f"invalid lexicon: {exc}") from None
 
 
 def serialize_lexicon(lex: Lexicon) -> str:

@@ -5,10 +5,11 @@ These rules bootstrap dictionary entries: standard splitting into
 syllables, accent placement, and synalephe-propensity initialization.
 They are deliberately rule-of-thumb; exotic forms (Latin, Provençal,
 proparoxytones) are corrected by hand in the shipped dictionary, which
-always wins over rule output.  Forms listed in the nondeterministic
-table get their variant set verbatim instead; variants flagged opt-in
-(the -ea imperfects and the bare io/mio pronouns, which the shipped
-dictionary keeps deterministic) are only drafted with all_variants.
+always wins over rule output.  Forms the shipped dictionary reads more
+than one way get its variant set verbatim instead; so do the opt-in
+families of nondet_words.tsv (the -ea imperfects and the bare io/mio
+pronouns, which the dictionary reads one way), whose second readings
+are only drafted with all_variants.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .lexicon import (PROB_ONE, PROB_ZERO, InputError, Lexicon,
                       LexiconValidationError, Propensity, WordAnalysis,
-                      _parse_rows, build_lexicon, bundled_text, parse_lexicon)
+                      build_lexicon, bundled_text, parse_lexicon)
 from .tokenizer import APOSTROPHE, lex_key
 
 STRONG_VOWELS = set("aeoàèéòóâêô")
@@ -156,17 +157,14 @@ def _nuclei(form: str, hiatus_word: bool) -> list[tuple[int, int]]:
     glides, and (for words in the hiatus list) at rising weak-strong
     contacts as well.
     """
-    low = form.lower()
+    low = lex_key(form)  # one character per character of form
     n = len(low)
     nuclei: list[tuple[int, int]] = []
     i = 0
     while i < n:
         ch = low[i]
         if ch == APOSTROPHE:
-            if nuclei and nuclei[-1][1] == i and _is_vowel(low[i - 1]):
-                nuclei[-1] = (nuclei[-1][0], i + 1)  # de', vuo', i'
-            else:
-                nuclei.append((i, i + 1))  # d', 'l: elided vowel
+            nuclei.append((i, i + 1))  # d', 'l: elided vowel
             i += 1
             continue
         if not _is_vowel(ch):
@@ -220,10 +218,6 @@ def _split_run(run: str, hiatus_word: bool) -> list[tuple[int, int]]:
         elif hiatus_word and a in WEAK_VOWELS and b in STRONG_VOWELS:
             split = True
         elif hiatus_word and a in STRONG_VOWELS and b in WEAK_VOWELS:
-            split = True
-        elif j - start >= 2 and b not in WEAK_VOWELS:
-            split = True  # only a closing glide may extend a nucleus to three
-        elif j - start >= 3:
             split = True
         if split:
             bounds.append((start, j))
@@ -279,8 +273,7 @@ def split_syllables(form: str, cfg: RuleConfig) -> list[str]:
                 break
         boundaries.append(cut)
     boundaries.append(len(form))
-    out = [form[boundaries[k]:boundaries[k + 1]] for k in range(len(boundaries) - 1)]
-    return [s for s in out if s]
+    return [form[boundaries[k]:boundaries[k + 1]] for k in range(len(boundaries) - 1)]
 
 
 def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int]:
@@ -330,7 +323,7 @@ def _nucleus(syllable: str, index: int) -> str:
     if not spans:
         return ""
     s, e = spans[index]
-    return syllable.lower()[s:e].rstrip(APOSTROPHE)
+    return lex_key(syllable)[s:e].rstrip(APOSTROPHE)
 
 
 def init_propensities(form: str, syllables: list[str] | tuple[str, ...],
@@ -404,38 +397,28 @@ def build_analyses(form: str, cfg: RuleConfig,
     return [WordAnalysis(lowered, tuple(accents), p_l, p_r, 1.0)]
 
 
-def load_nondet_table(all_variants: bool = False) -> dict[str, list[WordAnalysis]]:
-    """Nondeterministic word table from the bundled data file.
-
-    Rows are lexicon rows with an optin column after the key; optin=1
-    rows are read only with all_variants.  Errors count a row's fields
-    without its optin column.
-    """
-    rows = []
-    for line in bundled_text("nondet_words.tsv").splitlines():
-        fields = line.split("\t")
-        optin = fields.pop(1) if len(fields) > 1 else None
-        # a skipped row stays as a blank line, so errors name the file's lines
-        rows.append("" if optin == "1" and not all_variants else "\t".join(fields))
-    table, _ = _parse_rows("\n".join(rows))
-    # renormalize single-variant leftovers of opt-in families
-    for key, variants in table.items():
-        total = sum(v.weight for v in variants)
-        if abs(total - 1.0) > 1e-9:
-            table[key] = [WordAnalysis(v.syllables, v.accents, v.p_l, v.p_r,
-                                       v.weight / total) for v in variants]
+def load_nondet_table(seed: Lexicon, all_variants: bool = False
+                      ) -> dict[str, tuple[WordAnalysis, ...]]:
+    """The keys a draft takes verbatim: each key that the dictionary seed
+    reads more than one way, and each opt-in family of the bundled
+    nondet_words.tsv, whole with all_variants and else as seed reads it."""
+    optin = parse_lexicon(bundled_text("nondet_words.tsv")).entries
+    table = {key: v for key, v in seed.entries.items() if len(v) > 1}
+    for key, variants in optin.items():
+        table[key] = variants if all_variants else seed.lookup(key)
     return table
 
 
 def build_draft_lexicon(words: Iterable[str], cfg: RuleConfig,
                         all_variants: bool = False) -> Lexicon:
     """Draft entries for words, keyed as the scanner keys them; the
-    stress-ineligible keys are those the bundled dictionary declares."""
-    nondet = load_nondet_table(all_variants)
+    nondeterministic table and the stress-ineligible keys come from the
+    bundled dictionary."""
+    seed = parse_lexicon(bundled_text("seed.lex"))
+    nondet = load_nondet_table(seed, all_variants)
     entries: dict[str, list[WordAnalysis]] = {}
     for word in words:
         key = lex_key(word)
         if key not in entries:
             entries[key] = build_analyses(key, cfg, nondet)
-    ineligible = parse_lexicon(bundled_text("seed.lex")).stress_ineligible
-    return build_lexicon(entries, ineligible & set(entries))
+    return build_lexicon(entries, seed.stress_ineligible & set(entries))

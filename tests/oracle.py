@@ -220,8 +220,9 @@ def _split_piece(piece: str) -> tuple[str, str, str]:
 
 
 def lex_key(word: str) -> str:
-    """Lexicon key of a word form: case-folded, diacritics preserved."""
-    return word.lower()
+    """Lexicon key of a word form: case-folded, diacritics preserved;
+    `İ` keys as `i`, one character for one."""
+    return word.replace("İ", "i").lower()
 
 
 def tokenize(line: str) -> list[Token]:

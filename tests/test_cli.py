@@ -158,7 +158,7 @@ def test_lex_build_normalizes_each_line_whole(capsys, tmp_path):
 
 def test_lex_build_rejects_out_of_range_propensity(capsys, monkeypatch,
                                                    tmp_path):
-    fake_nondet_table(monkeypatch, "avea\t0\t1\t1\t1.5\ta|vea\t0\n")
+    fake_nondet_table(monkeypatch, "avea\t1\t1\t1.5\ta|vea\t0\n")
     words = tmp_path / "words.txt"
     words.write_text("avea\n", "utf-8")
     code, out, err = run(capsys, "lex", "build", "--words", str(words))

@@ -72,6 +72,12 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon("selva\t1\t0\t1\tsel|va\t-9\n")
     with pytest.raises(LexiconParseError, match="propensity"):
         parse_lexicon("selva\t1\t2\t1\tsel|va\t-1\n")
+    with pytest.raises(LexiconParseError, match="line 1: bad propensity 'x'"):
+        parse_lexicon("selva\t1\tx\t1\tsel|va\t-1\n")
+    with pytest.raises(LexiconParseError, match="line 1: empty key"):
+        parse_lexicon("\t1\t0\t1\tsel|va\t-1\n")
+    with pytest.raises(LexiconParseError, match="line 1: bad weight 'w'"):
+        parse_lexicon("selva\tw\t0\t1\tsel|va\t-1\n")
 
 
 def test_parse_rejects_syllables_that_do_not_spell_the_key():

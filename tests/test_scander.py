@@ -260,6 +260,19 @@ def test_final_states_build_each_shared_prefix_once(seed_lexicon, monkeypatch):
     assert calls <= len(nodes)
 
 
+def test_likelihood_floor_prunes_only_the_unlikely_states(seed_lexicon):
+    # fourteen meld-prone words fork at every junction; the least likely
+    # readings fall below the default floor of 1e-9 and are dropped
+    verse = " ".join(["e a"] * 7)
+    floored = scan(verse, seed_lexicon)
+    exhaustive = scan(verse, seed_lexicon, likelihood_floor=0.0)
+    assert len(floored.final_states) == 8178
+    assert all(s.likelihood >= 1e-9 for s in floored.final_states)
+    assert len(exhaustive.final_states) == 8192
+    assert sum(s.likelihood >= 1e-9 for s in exhaustive.final_states) == 8178
+    assert floored.status == exhaustive.status
+
+
 @pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
                          ids=["default", "permissive"])
 @settings(max_examples=200, deadline=None,

@@ -138,7 +138,7 @@ def test_tokens_are_values_of_their_seven_fields():
 
 # letters of both cases, with and without accents, apostrophes and their
 # look-alikes, the left quote, trailing punctuation and opening marks
-MIXED_LETTERS = "abcelmnoqrsuvzàèéìòùïëAEIOSTÈÉÒÙÏ"
+MIXED_LETTERS = "abcelmnoqrsuvzàèéìòùïëAEIOSTÈÉÒÙÏİ"
 APOSTROPHES = ["’", "'", "ʼ", "′", "`", "‘"]
 PUNCT_POOL = [",", ".", ";", ":", "!", "?", "«", "»", "»,", "?».", "’"]
 OPENERS = ["«", "“", "(", '"']

@@ -45,6 +45,8 @@ def cfg():
     ("suoi", ["suoi"]),
     ("lasciammo", ["la", "sciam", "mo"]),
     ("avrà", ["av", "rà"]),
+    # "İ" lowercases to two characters; the split still counts one
+    ("İtalia", ["İ", "ta", "lia"]),
 ])
 def test_split_syllables(cfg, form, expected):
     assert split_syllables(form, cfg) == expected
@@ -137,19 +139,20 @@ def test_build_analyses_regular(cfg):
     assert cammin.weight == 1.0
 
 
-def test_build_analyses_nondeterministic(cfg):
-    table = load_nondet_table()
+def test_build_analyses_nondeterministic(cfg, seed_lexicon):
+    table = load_nondet_table(seed_lexicon)
     two = build_analyses("migliaio", cfg, table)
     assert [a.syllables for a in two] == [("mi", "glia", "io"), ("mi", "gliaio")]
     assert [a.weight for a in two] == [0.9, 0.1]
 
 
-def test_build_analyses_avea_variants(cfg):
+def test_build_analyses_avea_variants(cfg, seed_lexicon):
     # shipped default reads avea as a diphthong; the hiatus variant is opt-in
-    (default,) = build_analyses("avea", cfg, load_nondet_table())
+    (default,) = build_analyses("avea", cfg, load_nondet_table(seed_lexicon))
     assert default.syllables == ("a", "vea")
     assert default.weight == 1.0
-    diphthong, hiatus = build_analyses("avea", cfg, load_nondet_table(all_variants=True))
+    diphthong, hiatus = build_analyses(
+        "avea", cfg, load_nondet_table(seed_lexicon, all_variants=True))
     assert (diphthong.p_l.value, diphthong.n, diphthong.p_r.value) == (1.0, 2, 0.1)
     assert (hiatus.p_l.value, hiatus.n, hiatus.p_r.value) == (1.0, 3, 1.0)
     assert (diphthong.weight, hiatus.weight) == (0.9, 0.1)
@@ -164,31 +167,34 @@ def fake_nondet_table(monkeypatch, text):
 
 
 @pytest.mark.parametrize("row, message", [
-    ("avea\t0\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
-    ("avea\t1\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
-    ("avea\t0\t1\t1", "expected 6 fields, got 3"),
+    ("avea\t1\t1\t0.1\ta|via\t0", "syllables 'a|via' do not spell key 'avea'"),
+    ("avea\t1\t1", "expected 6 fields, got 3"),
 ])
-def test_nondet_table_rows_are_checked_as_lexicon_rows(monkeypatch, row,
-                                                       message):
+def test_nondet_table_rows_are_checked_as_lexicon_rows(monkeypatch, seed_lexicon,
+                                                       row, message):
     fake_nondet_table(monkeypatch,
-                      "# key\toptin\tweight\tp_l\tp_r\tsyllabification\taccents\n"
-                      f"creature\t0\t1\t0\t1\tcre|a|tu|re\t-1\n{row}\n")
+                      "# key\tweight\tp_l\tp_r\tsyllabification\taccents\n"
+                      f"creature\t1\t0\t1\tcre|a|tu|re\t-1\n{row}\n")
     with pytest.raises(LexiconParseError) as exc:
-        load_nondet_table(all_variants=True)
+        load_nondet_table(seed_lexicon, all_variants=True)
     assert exc.value.line_no == 3
     assert str(exc.value) == f"line 3: {message}"
 
 
 def test_nondet_table_agrees_with_the_seed_dictionary(seed_lexicon):
-    # without its opt-in rows the table drafts what the dictionary holds,
+    # without all_variants the table drafts what the dictionary holds,
     # and it holds every key the dictionary reads more than one way
-    table = load_nondet_table()
+    table = load_nondet_table(seed_lexicon)
     assert len(table) == 31
     for key, variants in table.items():
         assert tuple(variants) == seed_lexicon.entries[key], key
     multi = {key for key, analyses in seed_lexicon.entries.items()
              if len(analyses) > 1}
     assert len(multi) == 19 and multi <= set(table)
+    # all_variants reads each of the 12 opt-in families both ways instead
+    both = load_nondet_table(seed_lexicon, all_variants=True)
+    assert set(both) == set(table)
+    assert sorted(len(both[k]) for k in table if both[k] != table[k]) == [2] * 12
 
 
 def test_drafts_are_keyed_as_the_scanner_keys_words(cfg):
