@@ -8,11 +8,11 @@ chosen scansions realize.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .corpus import VerseRecord
+from .lexicon import Value
 from .tokenizer import word_tokens
 
 
@@ -26,13 +26,16 @@ class Outcome(Enum):
     DIALEPHE = "dialephe"
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    location: tuple[str, int, int]
-    key: str
-    side: Side
-    outcome: Outcome
-    neighbor: str
+class Occurrence(Value):
+    """One junction of a word with a neighbour in a chosen state; a
+    value, never assigned to."""
+
+    __slots__ = _fields = ("location", "key", "side", "outcome", "neighbor")
+
+    def __init__(self, location: tuple[str, int, int], key: str, side: Side,
+                 outcome: Outcome, neighbor: str):
+        self.location, self.key, self.side = location, key, side
+        self.outcome, self.neighbor = outcome, neighbor
 
 
 def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .lexicon import InputError, Lexicon
+from .lexicon import InputError, Lexicon, Value
 from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
-from .tokenizer import (Token, normalize_line, reconstruct, tokenize,
-                        word_tokens)
+from .tokenizer import Token, TokenKind, normalize_line, reconstruct, tokenize
 
 HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
 
@@ -72,27 +70,39 @@ class Verse(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Amendment:
-    cantica: str
-    canto: int
-    line: int
-    original: str
-    replacement: str
-    note: str = ""
+class Amendment(Value):
+    """One editorial amendment: in the verse at cantica, canto, line,
+    original becomes replacement.  A value; never assign to one."""
+
+    __slots__ = _fields = ("cantica", "canto", "line", "original",
+                           "replacement", "note")
+
+    def __init__(self, cantica: str, canto: int, line: int, original: str,
+                 replacement: str, note: str = ""):
+        self.cantica, self.canto, self.line = cantica, canto, line
+        self.original, self.replacement, self.note = original, replacement, note
 
 
-@dataclass(frozen=True)
-class VerseRecord:
-    location: tuple[str, int, int]
-    text: str
-    tokens: tuple[Token, ...]
-    scansion: VerseScansion
+class VerseRecord(Value):
+    """One scanned verse: its location, normalized text, tokens and
+    scansion.  A value; never assign to one."""
+
+    __slots__ = _fields = ("location", "text", "tokens", "scansion")
+
+    def __init__(self, location: tuple[str, int, int], text: str,
+                 tokens: tuple[Token, ...], scansion: VerseScansion):
+        self.location, self.text, self.tokens = location, text, tokens
+        self.scansion = scansion
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    records: tuple[VerseRecord, ...]
+class ScanReport(Value):
+    """The records of a whole document, in order; a value, never
+    assigned to."""
+
+    __slots__ = _fields = ("records",)
+
+    def __init__(self, records: tuple[VerseRecord, ...]):
+        self.records = records
 
     def __iter__(self) -> Iterator[VerseRecord]:
         return iter(self.records)
@@ -117,7 +127,8 @@ def parse_corpus(text: str) -> tuple[Verse, ...]:
     seen = set()
     verses = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        header = HEADER_RE.match(raw)
+        # a header holds the literal "Canto": other lines skip the match
+        header = "Canto" in raw and HEADER_RE.match(raw)
         if header:
             cantica, canto = header.group(1), roman_to_int(header.group(2))
             if (cantica, canto) in seen:
@@ -199,8 +210,13 @@ def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
     for verse in doc:
         normalized = normalize_line(verse.text)
         tokens = tuple(tokenize(normalized))
-        if key is not None and all(t.key != key for t in word_tokens(tokens)):
-            continue
+        if key is not None:
+            for t in tokens:
+                # punctuation keys as "", so its kind is checked too
+                if t.key == key and t.kind is TokenKind.WORD:
+                    break
+            else:
+                continue
         yield VerseRecord(verse[:3], normalized, tokens,
                           scan_verse(tokens, lex, cfg))
 
@@ -243,25 +259,26 @@ def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
         gap = ""  # blank lines due before the next line, so none ends the file
         for record in records:
             cantica, canto, line = record.location
+            scansion = record.scansion
             if previous != (cantica, canto):
                 if previous is not None:
                     gap += "\n"
                 syl.write(f"{gap}{cantica}: Canto {int_to_roman(canto)}\n")
                 gap = "\n"
                 previous = (cantica, canto)
-            syl.write(f"{gap}{render_scansion(record.scansion, record.tokens)}\n")
+            syl.write(f"{gap}{render_scansion(scansion, record.tokens)}\n")
             gap = "\n" if line % 3 == 0 else ""
-            chosen = record.scansion.chosen
-            tsv.write("\t".join([
-                cantica, str(canto), str(line),
-                str(chosen.count) if chosen else "-",
-                repr(chosen.likelihood) if chosen else "-",
-                *(("1" if getattr(chosen, f) else "0") if chosen else "-"
-                  for f in ("a4", "a6", "a10")),
-                record.scansion.status.value,
-                str(len(record.scansion.admissible)),
-            ]) + "\n")
-            if record.scansion.status is ScanStatus.WARN_NO_CAESURA:
+            chosen = scansion.chosen
+            if chosen is None:
+                scores = "-\t-\t-\t-\t-"
+            else:
+                scores = (f"{chosen.count}\t{chosen.likelihood!r}\t"
+                          f"{'1' if chosen.a4 else '0'}\t"
+                          f"{'1' if chosen.a6 else '0'}\t"
+                          f"{'1' if chosen.a10 else '0'}")
+            tsv.write(f"{cantica}\t{canto}\t{line}\t{scores}\t"
+                      f"{scansion.status.value}\t{len(scansion.admissible)}\n")
+            if scansion.status is ScanStatus.WARN_NO_CAESURA:
                 anom.write(f"{cantica} {int_to_roman(canto)},{line}\t{record.text}\n")
         if previous is None:
             syl.write("\n")

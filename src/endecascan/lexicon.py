@@ -54,10 +54,11 @@ class UnknownWord(LexiconError):
 
 
 class Value:
-    """Base of the scan path's value types, plain slotted classes so that
-    `scan` need not import `dataclasses`.  Equality, hashing and repr read
-    the fields a class lists in `_fields`, as a dataclass's would.  Values;
-    never assign to one: unlike a frozen dataclass, nothing stops it."""
+    """Base of the package's value types, plain slotted classes so that
+    no command imports `dataclasses` and each value is built with plain
+    slot stores.  Equality, hashing and repr read the fields a class lists
+    in `_fields`, as a dataclass's would.  Values; never assign to one:
+    unlike a frozen dataclass, nothing stops it."""
 
     __slots__ = ()
 

@@ -15,11 +15,10 @@ are only drafted with all_variants.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .lexicon import (PROB_ONE, PROB_ZERO, InputError, Lexicon,
-                      LexiconValidationError, Propensity, WordAnalysis,
+                      LexiconValidationError, Propensity, Value, WordAnalysis,
                       build_lexicon, bundled_text, parse_lexicon)
 from .tokenizer import APOSTROPHE, lex_key
 
@@ -66,24 +65,35 @@ class WordRuleError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """Tunable data behind the default analysis rules."""
+class RuleConfig(Value):
+    """Tunable data behind the default analysis rules.  The calibrated
+    monosyllables default to a copy of PROBABILISTIC_MONOSYLLABLES.  A
+    value; never assign to one."""
 
-    never_synalephe_monosyllables: frozenset[str] = NEVER_SYNALEPHE
-    probabilistic_monosyllables: Mapping[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(PROBABILISTIC_MONOSYLLABLES))
-    accented_final_default_p_r: float = 0.1
-    diphthong_boundary_p: float = 0.0
-    hiatus_exception_words: frozenset[str] = frozenset()
+    __slots__ = _fields = ("never_synalephe_monosyllables",
+                           "probabilistic_monosyllables",
+                           "accented_final_default_p_r", "diphthong_boundary_p",
+                           "hiatus_exception_words")
 
-    def __post_init__(self):
-        overlap = self.never_synalephe_monosyllables & set(
-            self.probabilistic_monosyllables)
+    def __init__(self,
+                 never_synalephe_monosyllables: frozenset[str] = NEVER_SYNALEPHE,
+                 probabilistic_monosyllables:
+                     Mapping[str, tuple[float, float]] | None = None,
+                 accented_final_default_p_r: float = 0.1,
+                 diphthong_boundary_p: float = 0.0,
+                 hiatus_exception_words: frozenset[str] = frozenset()):
+        if probabilistic_monosyllables is None:
+            probabilistic_monosyllables = dict(PROBABILISTIC_MONOSYLLABLES)
+        self.never_synalephe_monosyllables = never_synalephe_monosyllables
+        self.probabilistic_monosyllables = probabilistic_monosyllables
+        self.accented_final_default_p_r = accented_final_default_p_r
+        self.diphthong_boundary_p = diphthong_boundary_p
+        self.hiatus_exception_words = hiatus_exception_words
+        overlap = never_synalephe_monosyllables & set(probabilistic_monosyllables)
         if overlap:
             raise LexiconValidationError(
                 f"monosyllable sets overlap: {sorted(overlap)}")
-        for p in (self.accented_final_default_p_r, self.diphthong_boundary_p):
+        for p in (accented_final_default_p_r, diphthong_boundary_p):
             if not 0.0 <= p <= 1.0:
                 raise LexiconValidationError(f"probability out of range: {p}")
 
@@ -92,7 +102,7 @@ def default_config() -> RuleConfig:
     """`RuleConfig()` with the bundled hiatus list."""
     lines = (line.strip() for line in bundled_text("hiatus_words.txt").splitlines())
     return RuleConfig(hiatus_exception_words=frozenset(
-        line.lower() for line in lines if line and not line.startswith("#")))
+        lex_key(line) for line in lines if line and not line.startswith("#")))
 
 
 def load_rule_config(text: str) -> RuleConfig:
@@ -101,9 +111,8 @@ def load_rule_config(text: str) -> RuleConfig:
     Settings the file does not name keep their `RuleConfig()` value, so
     the hiatus list starts empty rather than from the bundled one.
     """
-    cfg = RuleConfig()
-    prob = dict(cfg.probabilistic_monosyllables)
-    hiatus = set(cfg.hiatus_exception_words)
+    prob = dict(PROBABILISTIC_MONOSYLLABLES)
+    hiatus: set[str] = set()
     settings = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -113,22 +122,22 @@ def load_rule_config(text: str) -> RuleConfig:
         key, args = fields[0], fields[1:]
         if key == "never-synalephe":
             settings["never_synalephe_monosyllables"] = frozenset(
-                a.lower() for a in args)
+                lex_key(a) for a in args)
         elif key == "probabilistic":
             if len(args) != 3:
                 raise WordRuleError(f"line {line_no}: expected word, p_l, p_r")
-            prob[args[0].lower()] = (_number(line_no, key, args, 1),
-                                     _number(line_no, key, args, 2))
+            prob[lex_key(args[0])] = (_number(line_no, key, args, 1),
+                                      _number(line_no, key, args, 2))
         elif key == "hiatus":
-            hiatus.update(a.lower() for a in args)
+            hiatus.update(lex_key(a) for a in args)
         elif key == "accented-final-p-r":
             settings["accented_final_default_p_r"] = _number(line_no, key, args, 0)
         elif key == "diphthong-p":
             settings["diphthong_boundary_p"] = _number(line_no, key, args, 0)
         else:
             raise WordRuleError(f"line {line_no}: unknown setting {key!r}")
-    return replace(cfg, probabilistic_monosyllables=prob,
-                   hiatus_exception_words=frozenset(hiatus), **settings)
+    return RuleConfig(probabilistic_monosyllables=prob,
+                      hiatus_exception_words=frozenset(hiatus), **settings)
 
 
 def _number(line_no: int, key: str, args: list[str], index: int) -> float:
@@ -145,7 +154,8 @@ def _number(line_no: int, key: str, args: list[str], index: int) -> float:
 
 
 def _is_vowel(ch: str) -> bool:
-    return ch.lower() in VOWELS
+    """Whether the lowercase character ch is a vowel."""
+    return ch in VOWELS
 
 
 def _nuclei(form: str, hiatus_word: bool) -> list[tuple[int, int]]:
@@ -226,8 +236,8 @@ def _split_run(run: str, hiatus_word: bool) -> list[tuple[int, int]]:
     return bounds
 
 
-def _legal_onset(cluster: str) -> bool:
-    c = cluster.lower()
+def _legal_onset(c: str) -> bool:
+    """Whether the lowercase consonant cluster c can open a syllable."""
     # a trailing i/u here is a palatal/velar spelling glide (cia, gui, ...)
     if len(c) >= 2 and ((c[-1] == "i" and (c[-2] in "cg" or c[-3:-1] in ("sc", "gl")))
                         or (c[-1] == "u" and c[-2] in "qg")):
@@ -255,7 +265,8 @@ def split_syllables(form: str, cfg: RuleConfig) -> list[str]:
     """
     if not form:
         raise WordRuleError("empty word form")
-    hiatus_word = form.lower() in cfg.hiatus_exception_words
+    low = lex_key(form)  # one character per character of form
+    hiatus_word = low in cfg.hiatus_exception_words
     nuclei = _nuclei(form, hiatus_word)
     if not nuclei:
         print(f"endecascan: no vowel in {form!r}, treating as one syllable",
@@ -268,7 +279,7 @@ def split_syllables(form: str, cfg: RuleConfig) -> list[str]:
         # longest legal onset wins; the rest stays in the coda
         cut = gap_end
         for candidate in range(gap_start, gap_end):
-            if _legal_onset(form[candidate:gap_end].lower()):
+            if _legal_onset(low[candidate:gap_end]):
                 cut = candidate
                 break
         boundaries.append(cut)
@@ -283,14 +294,15 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
     or a final consonant (truncated form) moves it; dieresis marks are
     not accents.  Adverbs in -mente get a secondary stress on their stem.
     """
-    sylls = list(syllables)
+    low = lex_key(form)
+    sylls = [lex_key(syl) for syl in syllables]
     n = len(sylls)
     primary = None
     for idx, syl in enumerate(sylls):
-        if any(ch in ACCENTED_VOWELS for ch in syl.lower()):
+        if any(ch in ACCENTED_VOWELS for ch in syl):
             primary = idx - (n - 1)
     if primary is None:
-        last = form.lower().rstrip(APOSTROPHE)
+        last = low.rstrip(APOSTROPHE)
         final_nucleus = _nucleus(sylls[-1], -1)
         if n == 1:
             primary = 0
@@ -303,9 +315,9 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
         else:
             primary = -1
     accents = [primary]
-    if form.lower().endswith("mente") and n >= 4:
+    if low.endswith("mente") and n >= 4:
         stem_sylls = sylls[:-2]
-        stem = form[: len(form) - 5]
+        stem = low[: len(low) - 5]
         if stem and _is_vowel(stem[-1]):
             stem_offset = locate_accent(stem, stem_sylls)[0]
         else:
@@ -336,7 +348,7 @@ def init_propensities(form: str, syllables: list[str] | tuple[str, ...],
     """
     if not syllables:
         raise WordRuleError("empty syllable list")
-    low = form.lower()
+    low = lex_key(form)
     accents = locate_accent(form, syllables)
 
     p_l: Propensity | None = None
@@ -388,13 +400,14 @@ def build_analyses(form: str, cfg: RuleConfig,
     Forms listed in the nondeterministic table take their entries from
     it verbatim; everything else gets a single weight-1 analysis.
     """
-    if nondet and form.lower() in nondet:
-        return list(nondet[form.lower()])
+    key = lex_key(form)
+    if nondet and key in nondet:
+        return list(nondet[key])
     syllables = split_syllables(form, cfg)
     accents = locate_accent(form, syllables)
     p_l, p_r = init_propensities(form, syllables, cfg)
-    lowered = tuple(s.lower() for s in syllables)
-    return [WordAnalysis(lowered, tuple(accents), p_l, p_r, 1.0)]
+    keyed = tuple(lex_key(s) for s in syllables)
+    return [WordAnalysis(keyed, tuple(accents), p_l, p_r, 1.0)]
 
 
 def load_nondet_table(seed: Lexicon, all_variants: bool = False

@@ -182,6 +182,42 @@ def test_lex_build_output_of_the_canto_is_pinned(capsys, flags):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEX_BUILD_SHA256[flags]
 
 
+# sha256 of the batch commands' outputs on inferno_i.txt with the bundled
+# dictionary; only a deliberate change to scanning or to an output
+# format may update these
+BATCH_SHA256 = {
+    "corpus report.tsv":
+        "7c10f9ce6df30e459c3062de8beef9c48c39d4eef262fdaf3a1050088b9bc723",
+    # the canto has no anomaly: the file is empty
+    "corpus anomalies.txt":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "stats": "f3a3e28dda769d8e18b9e737e7d0c9d66ed9d6e4f77e55066a4bc4a459ac54cd",
+    "stats --secondary":
+        "f3a3e28dda769d8e18b9e737e7d0c9d66ed9d6e4f77e55066a4bc4a459ac54cd",
+    "query selva": "665141090e6b542d0178e8980b14dae30320c32ea076c8f3ff4ce3bfe6e11095",
+    "query tra": "123943e6592aac9f05980b17ed15d7034ccb6557504c2c3cd1bfcce3f26f995f",
+    "query e": "560aedaadf4bbf6bf154b3f22a794963f5e873892ca847234d130bf42d1b45cb",
+}
+
+
+def test_batch_outputs_of_the_canto_are_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    outputs = {}
+    code, _, err = run(capsys, "corpus", "--in", CANTO, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    for name in ("report.tsv", "anomalies.txt"):
+        outputs[f"corpus {name}"] = (tmp_path / f"inferno_i.{name}").read_text("utf-8")
+    for label, argv in [("stats", ["stats"]),
+                        ("stats --secondary", ["stats", "--secondary"]),
+                        *((f"query {w}", ["query", "--word", w])
+                          for w in ("selva", "tra", "e"))]:
+        code, out, err = run(capsys, *argv, "--in", CANTO)
+        assert (code, err) == (0, "")
+        outputs[label] = out
+    assert {label: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for label, text in outputs.items()} == BATCH_SHA256
+
+
 def test_lex_build_with_custom_rules(capsys, tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("qua\n", "utf-8")
@@ -469,6 +505,28 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
     assert "endecascan.scander" in modules
     for name in ("corpus", "analysis", "wordrules"):
         assert f"endecascan.{name}" not in modules
+    assert "dataclasses" not in modules and "inspect" not in modules
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    script = f"""if True:
+        import json, sys
+        from endecascan import cli
+        codes = [cli.main(argv) for argv in (
+            ["corpus", "--in", {CANTO!r}, "--out", "out"],
+            ["stats", "--in", {CANTO!r}],
+            ["query", "--word", "tra", "--in", {CANTO!r}],
+            ["lex", "build", "--words", {CANTO!r}],
+            ["scan", "Nel mezzo del cammin di nostra vita"],
+            ["lex", "check", {SEED!r}])]
+        print(json.dumps([codes, sorted(sys.modules)]))
+    """
+    proc = run_fresh(tmp_path, script)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 6
+    for name in ("corpus", "analysis", "wordrules"):
+        assert f"endecascan.{name}" in modules
     assert "dataclasses" not in modules and "inspect" not in modules
 
 

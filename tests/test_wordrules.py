@@ -137,6 +137,9 @@ def test_build_analyses_regular(cfg):
     assert cammin.p_l == Propensity.prob(0)
     assert cammin.p_r == Propensity.prob(0)
     assert cammin.weight == 1.0
+    # "İ" keys as "i", one character for one: the syllables spell the key
+    (italia,) = build_analyses("İtalia", cfg)
+    assert (italia.syllables, italia.accents) == (("i", "ta", "lia"), (-1,))
 
 
 def test_build_analyses_nondeterministic(cfg, seed_lexicon):
