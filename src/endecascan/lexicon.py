@@ -289,7 +289,7 @@ def serialize_lexicon(lex: Lexicon) -> str:
                 repr(a.weight),
                 str(a.p_l),
                 str(a.p_r),
-                "|".join(a.syllables),
+                a.rendered,
                 ",".join(str(o) for o in a.accents),
             ]))
     return "\n".join(lines) + "\n"

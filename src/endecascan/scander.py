@@ -229,7 +229,8 @@ def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
 
 
 class BadAnalysisError(ValueError):
-    """An analysis whose syllables do not spell the word it scans."""
+    """An analysis whose syllables do not spell the key of the word it
+    scans: a different length or different letters."""
 
 
 def split_surface(surface: str, analysis: WordAnalysis) -> list[str]:
@@ -247,10 +248,6 @@ def split_surface(surface: str, analysis: WordAnalysis) -> list[str]:
     return out
 
 
-_MELD_ONLY = ((True, 1.0),)
-_APART_ONLY = ((False, 1.0),)
-
-
 def advance(states: list[ScanState], token: Token,
             analyses: tuple[WordAnalysis, ...], token_index: int,
             stress_eligible: bool, cfg: ScanConfig) -> list[ScanState]:
@@ -262,8 +259,9 @@ def advance(states: list[ScanState], token: Token,
     happen here.
     """
     for analysis in analyses:
-        if len(analysis.form) != len(token.word):
-            split_surface(token.word, analysis)  # raises BadAnalysisError
+        if analysis.form != token.key:
+            raise BadAnalysisError(f"analysis {analysis.rendered!r} does not "
+                                   f"cover surface {token.word!r}")
     word = (token, token_index, stress_eligible)  # shared by every successor
     pruning = cfg.incremental_pruning
     floor = cfg.likelihood_floor
@@ -281,9 +279,9 @@ def advance(states: list[ScanState], token: Token,
             else:
                 m = p_r.value * p_l.value
             if m >= 1.0:
-                branches = _MELD_ONLY
+                branches = ((True, 1.0),)
             elif m <= 0.0:
-                branches = _APART_ONLY
+                branches = ((False, 1.0),)
             else:
                 branches = ((True, m), (False, 1.0 - m))
             for melded, branch_p in branches:

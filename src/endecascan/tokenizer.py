@@ -13,7 +13,8 @@ an earlier piece of it), and tokens are values, so a word token that no
 standalone mark changes is shared: a bounded module table maps
 `(piece, space_before)` to it, a repeated piece costs one lookup, and
 verses hold the same token objects.  `_word_token` alone makes word
-tokens, for the table and for the words next to a mark alike.  A second
+tokens, with the `Token` constructor: for a table miss and for the words
+of a line with a standalone mark, which no workload line has.  A second
 table, bounded the same way, holds each whitespace piece with an
 apostrophe after its elision split.  Splitting piece by piece gives the
 line's own split, because an elision run is made of letters and
@@ -166,8 +167,6 @@ def _split_piece(piece: str) -> tuple[str, str, str]:
     The word runs from the first letter to the last, with an apostrophe
     just before it (aphaeresis) or just after it (elision).
     """
-    if piece[0].isalpha() and piece[-1].isalpha():
-        return "", piece, ""
     start, end = 0, len(piece)
     while start < end and not piece[start].isalpha():
         start += 1
@@ -248,10 +247,6 @@ def _tokenize_marks(line: str) -> list[Token]:
     return tokens
 
 
-# allocates a token without running __init__: _word_token sets every slot
-_new_token = object.__new__
-
-
 def _word_token(piece: str, space_before: bool, lead: str = "",
                 trail: str = "") -> Token | None:
     """The WORD token of a piece, with the marks of its neighbours added
@@ -259,15 +254,8 @@ def _word_token(piece: str, space_before: bool, lead: str = "",
     own_lead, word, own_trail = _split_piece(piece)
     if not word:
         return None
-    token = _new_token(Token)
-    token.kind = _WORD
-    token.surface = piece
-    token.space_before = space_before
-    token.word = word
-    token.key = lex_key(word)
-    token.lead = lead + own_lead
-    token.trail = own_trail + trail
-    return token
+    return Token(_WORD, piece, space_before, word, lex_key(word),
+                 lead + own_lead, own_trail + trail)
 
 
 def word_tokens(tokens: Iterable[Token]) -> list[Token]:

@@ -153,21 +153,16 @@ def _number(line_no: int, key: str, args: list[str], index: int) -> float:
     return value
 
 
-def _is_vowel(ch: str) -> bool:
-    """Whether the lowercase character ch is a vowel."""
-    return ch in VOWELS
-
-
-def _nuclei(form: str, hiatus_word: bool) -> list[tuple[int, int]]:
-    """Locate syllable nuclei as (start, end) index ranges.
+def _nuclei(low: str, hiatus_word: bool) -> list[tuple[int, int]]:
+    """Locate the syllable nuclei of the keyed form low as (start, end)
+    index ranges.
 
     A nucleus is a maximal run of vowels read as one sound, with the
     apostrophe standing in for an elided vowel.  Runs are broken at
     strong-strong contacts, around dieresis marks, before intervocalic
-    glides, and (for words in the hiatus list) at rising weak-strong
-    contacts as well.
+    glides, and (for words in the hiatus list) at weak-strong contacts
+    either way as well.
     """
-    low = lex_key(form)  # one character per character of form
     n = len(low)
     nuclei: list[tuple[int, int]] = []
     i = 0
@@ -177,32 +172,27 @@ def _nuclei(form: str, hiatus_word: bool) -> list[tuple[int, int]]:
             nuclei.append((i, i + 1))  # d', 'l: elided vowel
             i += 1
             continue
-        if not _is_vowel(ch):
+        if ch not in VOWELS:
             i += 1
             continue
         # spelling-only glide after palatal c/g/sc/gl (or u after q/g)
         prev = low[i - 1] if i else ""
         prev2 = low[i - 2] if i > 1 else ""
-        nxt = low[i + 1] if i + 1 < n else ""
-        if nxt and _is_vowel(nxt):
+        if low[i + 1:i + 2] in VOWELS:
             marker = ((prev in ("c", "g") and prev2 != "s")
                       or prev2 + prev in ("sc", "gl"))
             # hiatus-list words read the glide as a full vowel (coscienza,
             # region) except after a doubled consonant (viaggio)
             if hiatus_word and prev2 != prev:
                 marker = False
-            if ch == "i" and marker:
-                i += 1
-                continue
-            if ch == "u" and prev in ("q", "g"):
+            if (ch == "i" and marker) or (ch == "u" and prev in ("q", "g")):
                 i += 1
                 continue
         # collect a vowel run and split it into nuclei
         start = i
-        while i < n and _is_vowel(low[i]):
+        while i < n and low[i] in VOWELS:
             i += 1
-        run = low[start:i]
-        for s, e in _split_run(run, hiatus_word):
+        for s, e in _split_run(low[start:i], hiatus_word):
             nuclei.append((start + s, start + e))
         # a trailing apostrophe joins the final nucleus (cu', vuo')
         if i < n and low[i] == APOSTROPHE:
@@ -216,20 +206,12 @@ def _split_run(run: str, hiatus_word: bool) -> list[tuple[int, int]]:
     start = 0
     for j in range(1, len(run)):
         a, b = run[j - 1], run[j]
-        split = False
-        if a in DIERESIS_VOWELS or b in DIERESIS_VOWELS:
-            split = True
-        elif a in STRONG_VOWELS and b in STRONG_VOWELS:
-            split = True
-        elif a == b:
-            split = True
-        elif b in WEAK_VOWELS and j + 1 < len(run) and _is_vowel(run[j + 1]):
-            split = True  # intervocalic glide starts the next nucleus
-        elif hiatus_word and a in WEAK_VOWELS and b in STRONG_VOWELS:
-            split = True
-        elif hiatus_word and a in STRONG_VOWELS and b in WEAK_VOWELS:
-            split = True
-        if split:
+        # a dieresis, strong-strong or identical vowels, a glide before the
+        # next vowel of the run, and (hiatus words) a weak-strong contact
+        if (a in DIERESIS_VOWELS or b in DIERESIS_VOWELS
+                or (a in STRONG_VOWELS and b in STRONG_VOWELS) or a == b
+                or (b in WEAK_VOWELS and j + 1 < len(run))
+                or (hiatus_word and (a in WEAK_VOWELS) != (b in WEAK_VOWELS))):
             bounds.append((start, j))
             start = j
     bounds.append((start, len(run)))
@@ -238,9 +220,9 @@ def _split_run(run: str, hiatus_word: bool) -> list[tuple[int, int]]:
 
 def _legal_onset(c: str) -> bool:
     """Whether the lowercase consonant cluster c can open a syllable."""
-    # a trailing i/u here is a palatal/velar spelling glide (cia, gui, ...)
-    if len(c) >= 2 and ((c[-1] == "i" and (c[-2] in "cg" or c[-3:-1] in ("sc", "gl")))
-                        or (c[-1] == "u" and c[-2] in "qg")):
+    # a trailing i/u here is a palatal/velar spelling glide (cia, gui, ...):
+    # every other vowel is in a nucleus
+    if c[-1:] in ("i", "u"):
         c = c[:-1]
     if len(c) <= 1:
         return True
@@ -266,8 +248,7 @@ def split_syllables(form: str, cfg: RuleConfig) -> list[str]:
     if not form:
         raise WordRuleError("empty word form")
     low = lex_key(form)  # one character per character of form
-    hiatus_word = low in cfg.hiatus_exception_words
-    nuclei = _nuclei(form, hiatus_word)
+    nuclei = _nuclei(low, low in cfg.hiatus_exception_words)
     if not nuclei:
         print(f"endecascan: no vowel in {form!r}, treating as one syllable",
               file=sys.stderr)
@@ -306,9 +287,9 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
         final_nucleus = _nucleus(sylls[-1], -1)
         if n == 1:
             primary = 0
-        elif sylls[-1].endswith(APOSTROPHE) and not _is_vowel(sylls[-1][0]):
+        elif sylls[-1].endswith(APOSTROPHE) and sylls[-1][0] not in VOWELS:
             primary = -1  # tan|t', on|d': stress stays left of the elision
-        elif last and not _is_vowel(last[-1]):
+        elif last and last[-1] not in VOWELS:
             primary = 0  # truncated form, stress on the final syllable
         elif len(final_nucleus) >= 2 and final_nucleus[-1] in "iu":
             primary = 0  # falling final diphthong: trovai, altrui
@@ -316,14 +297,14 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
             primary = -1
     accents = [primary]
     if low.endswith("mente") and n >= 4:
-        stem_sylls = sylls[:-2]
         stem = low[: len(low) - 5]
-        if stem and _is_vowel(stem[-1]):
-            stem_offset = locate_accent(stem, stem_sylls)[0]
+        if stem and stem[-1] in VOWELS:
+            stem_offset = locate_accent(stem, sylls[:-2])[0]
         else:
             stem_offset = -1  # elided stem (mirabil-) keeps its penult stress
+        # the stem's n - 2 syllables put its accent in [-(n - 3), 0]
         secondary = stem_offset - 2
-        if -(n - 1) <= secondary <= 0 and secondary != primary:
+        if secondary != primary:
             accents.append(secondary)
     return accents
 
@@ -331,71 +312,66 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
 def _nucleus(syllable: str, index: int) -> str:
     """The syllable's first (index 0) or last (-1) nucleus, lowercase and
     without its apostrophe; the nucleus scan skips spelling glides."""
-    spans = _nuclei(syllable, hiatus_word=False)
+    low = lex_key(syllable)
+    spans = _nuclei(low, hiatus_word=False)
     if not spans:
         return ""
     s, e = spans[index]
-    return lex_key(syllable)[s:e].rstrip(APOSTROPHE)
+    return low[s:e].rstrip(APOSTROPHE)
 
 
 def init_propensities(form: str, syllables: list[str] | tuple[str, ...],
                       cfg: RuleConfig) -> tuple[Propensity, Propensity]:
-    """Initial left/right synalephe propensities for a word form.
-
-    Decision cascade per side, first match wins: apostrophe sentinel,
-    never-synalephe monosyllables, calibrated monosyllables, accented
-    final vowel, final/initial diphthong, plain vowel/consonant contact.
-    """
+    """Initial left/right synalephe propensities for a word form, each
+    side from its own cascade, where the first match wins."""
     if not syllables:
         raise WordRuleError("empty syllable list")
     low = lex_key(form)
-    accents = locate_accent(form, syllables)
+    return _left_propensity(low, syllables, cfg), _right_propensity(low, syllables, cfg)
 
-    p_l: Propensity | None = None
-    p_r: Propensity | None = None
 
+def _left_propensity(low: str, syllables: list[str] | tuple[str, ...],
+                     cfg: RuleConfig) -> Propensity:
+    """Apostrophe sentinel, calibrated monosyllable, initial i-diphthong,
+    plain vowel/consonant contact."""
     if low.startswith(APOSTROPHE):
-        p_l = Propensity.apostrophe()
-    if low.endswith(APOSTROPHE):
-        p_r = Propensity.apostrophe()
-
-    if len(syllables) == 1 and low in cfg.never_synalephe_monosyllables:
-        if p_r is None:
-            p_r = PROB_ZERO
+        return Propensity.apostrophe()
     if len(syllables) == 1 and low in cfg.probabilistic_monosyllables:
-        pl, pr = cfg.probabilistic_monosyllables[low]
-        if p_l is None:
-            p_l = Propensity.prob(pl)
-        if p_r is None:
-            p_r = Propensity.prob(pr)
+        return Propensity.prob(cfg.probabilistic_monosyllables[low][0])
+    first = _nucleus(syllables[0], 0)
+    if len(first) >= 2 and first[0] == "i":
+        return Propensity.prob(cfg.diphthong_boundary_p)
+    first = low[1:2] if low.startswith("h") else low[:1]  # a mute h: ho, ha
+    return PROB_ONE if first in VOWELS else PROB_ZERO
 
-    if p_r is None and low[-1] in ACCENTED_VOWELS:
-        p_r = Propensity.prob(cfg.accented_final_default_p_r)
-    if p_r is None:
-        nucleus = _nucleus(syllables[-1], -1)
-        # a final diphthong carrying the stress refuses the synalephe; a
-        # hiatus-list word read contracted keeps its stress in the cluster
-        if len(nucleus) >= 2 and (accents[0] == 0
-                                  or low in cfg.hiatus_exception_words):
-            p_r = Propensity.prob(cfg.diphthong_boundary_p)
-    if p_l is None:
-        first = _nucleus(syllables[0], 0)
-        if len(first) >= 2 and first[0] == "i":
-            p_l = Propensity.prob(cfg.diphthong_boundary_p)
 
-    if p_l is None:
-        first = low[0] if low[0] != "h" or len(low) == 1 else low[1]
-        p_l = PROB_ONE if _is_vowel(first) else PROB_ZERO
-    if p_r is None:
-        last = low.rstrip(APOSTROPHE)[-1] if low.rstrip(APOSTROPHE) else low[-1]
-        p_r = PROB_ONE if _is_vowel(last) else PROB_ZERO
-    return p_l, p_r
+def _right_propensity(low: str, syllables: list[str] | tuple[str, ...],
+                      cfg: RuleConfig) -> Propensity:
+    """Apostrophe sentinel, never-synalephe or calibrated monosyllable,
+    accented final vowel, final diphthong, plain vowel/consonant contact."""
+    if low.endswith(APOSTROPHE):
+        return Propensity.apostrophe()
+    if len(syllables) == 1:  # RuleConfig keeps the two sets apart
+        if low in cfg.never_synalephe_monosyllables:
+            return PROB_ZERO
+        if low in cfg.probabilistic_monosyllables:
+            return Propensity.prob(cfg.probabilistic_monosyllables[low][1])
+    if low[-1] in ACCENTED_VOWELS:
+        return Propensity.prob(cfg.accented_final_default_p_r)
+    # a final diphthong carrying the stress refuses the synalephe; a
+    # hiatus-list word read contracted keeps its stress in the cluster
+    if len(_nucleus(syllables[-1], -1)) >= 2 and (
+            low in cfg.hiatus_exception_words
+            or locate_accent(low, syllables)[0] == 0):
+        return Propensity.prob(cfg.diphthong_boundary_p)
+    return PROB_ONE if low[-1] in VOWELS else PROB_ZERO
 
 
 def build_analyses(form: str, cfg: RuleConfig,
                    nondet: Mapping[str, Iterable[WordAnalysis]] | None = None,
                    ) -> list[WordAnalysis]:
-    """Compose the three rules into dictionary entries for a form.
+    """Compose the three rules into dictionary entries for a form, drafted
+    from its key so that the syllables spell the key.
 
     Forms listed in the nondeterministic table take their entries from
     it verbatim; everything else gets a single weight-1 analysis.
@@ -403,11 +379,9 @@ def build_analyses(form: str, cfg: RuleConfig,
     key = lex_key(form)
     if nondet and key in nondet:
         return list(nondet[key])
-    syllables = split_syllables(form, cfg)
-    accents = locate_accent(form, syllables)
-    p_l, p_r = init_propensities(form, syllables, cfg)
-    keyed = tuple(lex_key(s) for s in syllables)
-    return [WordAnalysis(keyed, tuple(accents), p_l, p_r, 1.0)]
+    syllables = split_syllables(key, cfg)
+    p_l, p_r = init_propensities(key, syllables, cfg)
+    return [WordAnalysis(syllables, locate_accent(key, syllables), p_l, p_r, 1.0)]
 
 
 def load_nondet_table(seed: Lexicon, all_variants: bool = False

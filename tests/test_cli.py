@@ -182,6 +182,39 @@ def test_lex_build_output_of_the_canto_is_pinned(capsys, flags):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEX_BUILD_SHA256[flags]
 
 
+# sha256 of `lex build` stdout on inputs that reach the hiatus, glide and
+# monosyllable rules more often than the canto does, and the stderr of
+# each; the hiatus list drafts the words of its own comment lines too
+LEX_BUILD_RULES = ("hiatus\tlascia\tmalvagia\tciascun\tguida\tpaura\tfigliuol"
+                   "\tbestia\tmiei\ndiphthong-p\t0.1\n"
+                   "probabilistic\tqua\t0.5\t0.25\nnever-synalephe\tbe\tme\ttra\n")
+LEX_BUILD_RULE_CASES = {
+    "hiatus list": (
+        "5db90bc2ed63e6317149aab3e02550dfbb66813492d454df30f85be6b70f1d47",
+        "endecascan: no vowel in 'by', treating as one syllable\n"),
+    "seed keys": (
+        "5ddc07490954e71c18e5b1e2fc3ac533afb75c6ad9d081394154355e75b18699", ""),
+    "canto with rules": (
+        "3cdaa667040e7e8923274a328313458933cb0dcf3647ac1c1382d340dafa2675", ""),
+}
+
+
+@pytest.mark.parametrize("case", LEX_BUILD_RULE_CASES)
+def test_lex_build_output_of_the_rule_inputs_is_pinned(capsys, tmp_path,
+                                                       seed_lexicon, case):
+    seed_keys = tmp_path / "seed_keys.txt"
+    seed_keys.write_text("\n".join(seed_lexicon.entries) + "\n", "utf-8")
+    rules = tmp_path / "rules.cfg"
+    rules.write_text(LEX_BUILD_RULES, "utf-8")
+    argv = {"hiatus list": [str(SRC / "endecascan" / "data" / "hiatus_words.txt")],
+            "seed keys": [str(seed_keys)],
+            "canto with rules": [CANTO, "--rules", str(rules)]}[case]
+    code, out, err = run(capsys, "lex", "build", "--words", *argv)
+    digest, note = LEX_BUILD_RULE_CASES[case]
+    assert (code, err) == (0, note)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # sha256 of the batch commands' outputs on inferno_i.txt with the bundled
 # dictionary; only a deliberate change to scanning or to an output
 # format may update these
@@ -319,8 +352,10 @@ def test_an_amendment_verse_number_that_is_not_an_integer_is_fatal(capsys,
     # qua is also never-synalephe: the value is checked first
     ("probabilistic\tqua\t1.5\t0.1",
      "line 2: probabilistic value '1.5' outside [0, 1]"),
+    # a word and one number, with no p_r
+    ("probabilistic\tqua\t0.5", "line 2: expected word, p_l, p_r"),
 ], ids=["probabilistic", "diphthong-p", "accented-final-p-r", "nan", "above",
-        "below", "probabilistic out of range"])
+        "below", "probabilistic out of range", "probabilistic without p_r"])
 def test_a_rule_setting_that_is_not_a_number_is_fatal(capsys, tmp_path, row,
                                                       message):
     rules = tmp_path / "rules.cfg"

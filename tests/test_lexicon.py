@@ -37,6 +37,8 @@ def test_word_analysis_validation():
         WordAnalysis(("sel", "va"), (-1, -1), Propensity.prob(0), Propensity.prob(1))
     with pytest.raises(LexiconValidationError):
         WordAnalysis((), (0,), Propensity.prob(0), Propensity.prob(1))
+    with pytest.raises(LexiconValidationError, match="primary accent"):
+        WordAnalysis(("sel", "va"), (), Propensity.prob(0), Propensity.prob(1))
     with pytest.raises(LexiconValidationError):
         WordAnalysis(("va",), (0,), Propensity.prob(0), Propensity.prob(1), weight=0.0)
 

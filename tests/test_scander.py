@@ -62,20 +62,23 @@ def test_scan_renders_capitalised_words_and_rejects_mismatched_analyses():
     lex = build_lexicon({"selva": [WordAnalysis(("sel", "va"), (-1,), P(0), P(1))]})
     assert scan("Selva selva", lex, require_a10=False).final_states[0].text \
         == "|Sel|va |sel|va"
-    bad = build_lexicon({
-        "selva": [WordAnalysis(("sel", "v"), (-1,), P(0), P(1))],
-        "oscura": [WordAnalysis(("o", "scu", "ra"), (-1,), P(1), P(1))]})
-    for text in ("selva", "Selva", "oscura selva"):
-        assert scan(text, bad) == VerseScansion(
-            None, (), ScanStatus.FAIL_BAD_ANALYSIS, ())
+    # too short, or as long as the word with other letters
+    for wrong in (("sel", "v"), ("bo", "sco")):
+        bad = build_lexicon({
+            "selva": [WordAnalysis(wrong, (-1,), P(0), P(1))],
+            "oscura": [WordAnalysis(("o", "scu", "ra"), (-1,), P(1), P(1))]})
+        for text in ("selva", "Selva", "oscura selva"):
+            assert scan(text, bad) == VerseScansion(
+                None, (), ScanStatus.FAIL_BAD_ANALYSIS, ())
 
 
 def test_advance_rejects_a_mismatched_analysis_before_any_successor():
-    bad = WordAnalysis(("sel", "v"), (-1,), P(0), P(1))
-    for states in ([], [ScanState()]):
-        for token in (word_token("selva"), word_token("Selva")):
-            with pytest.raises(BadAnalysisError, match="does not cover"):
-                advance(states, token, (bad,), 0, True, ScanConfig())
+    for wrong in (("sel", "v"), ("bo", "sco")):
+        bad = WordAnalysis(wrong, (-1,), P(0), P(1))
+        for states in ([], [ScanState()]):
+            for token in (word_token("selva"), word_token("Selva")):
+                with pytest.raises(BadAnalysisError, match="does not cover"):
+                    advance(states, token, (bad,), 0, True, ScanConfig())
 
 
 # a word as a line may write it: capitalised or not, with an opening mark

@@ -3,7 +3,8 @@ import pathlib
 import pytest
 
 from endecascan import wordrules
-from endecascan.lexicon import LexiconParseError, Propensity
+from endecascan.lexicon import (LexiconParseError, LexiconValidationError,
+                                Propensity)
 from endecascan.wordrules import (RuleConfig, WordRuleError, build_analyses,
                                   build_draft_lexicon, default_config,
                                   init_propensities, load_nondet_table,
@@ -55,6 +56,8 @@ def test_split_syllables(cfg, form, expected):
 def test_split_rejects_empty(cfg):
     with pytest.raises(WordRuleError):
         split_syllables("", cfg)
+    with pytest.raises(WordRuleError, match="empty syllable list"):
+        init_propensities("selva", [], cfg)
 
 
 def test_split_no_vowel_fallback(cfg, capsys):
@@ -210,10 +213,14 @@ def test_drafts_are_keyed_as_the_scanner_keys_words(cfg):
 def test_rule_config_rejects_overlap():
     with pytest.raises(Exception):
         load_rule_config("never-synalephe\te\nprobabilistic\te\t0.9\t0.2")
+    # and a probability outside [0, 1] given to the constructor directly
+    with pytest.raises(LexiconValidationError, match="out of range: 1.5"):
+        RuleConfig(diphthong_boundary_p=1.5)
 
 
 def test_rule_config_file_round():
-    cfg = load_rule_config("probabilistic\tqua\t0.5\t0.5\n"
+    cfg = load_rule_config("# a comment line\n"
+                           "probabilistic\tqua\t0.5\t0.5\n"
                            "never-synalephe\tbe\tme\n"
                            "hiatus\tviaggio\n"
                            "accented-final-p-r\t0.2\n")
