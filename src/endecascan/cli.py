@@ -116,10 +116,10 @@ def _cmd_lex_build(args) -> int:
            if args.rules else wordrules.default_config())
     # keyed as the scanner keys them: each line normalized whole (a quote
     # pair spans words), then tokenized; a canto header is not a verse,
-    # so its words are never looked up
+    # so its words are never looked up, and a `#` line is a comment
     words = []
     for line in _read_text(args.words).splitlines():
-        if HEADER_RE.match(line):
+        if HEADER_RE.match(line) or line.strip().startswith("#"):
             continue
         kept = " ".join(w for w in line.split() if not w.startswith("#"))
         tokens = tokenize(normalize_line(kept))

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import InputError, Lexicon, Value
 from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
-from .tokenizer import Token, TokenKind, normalize_line, reconstruct, tokenize
+from .tokenizer import (Token, TokenKind, lex_key, normalize_line, reconstruct,
+                        tokenize)
 
 HEADER_RE = re.compile(r"^\s*(\w+)\s*:\s*Canto\s+([IVXLCDM]+)\s*$")
 
@@ -203,10 +204,25 @@ def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
     """Scan the verses one at a time; failures are recorded in each
     record's status, not raised.
 
-    Every verse is normalized and tokenized.  Given a lexicon key, only
-    the verses with a word token of that key are scanned and yielded:
-    the others cannot hold an occurrence of the word."""
+    With no key every verse is normalized, tokenized and scanned.  Given
+    a lexicon key, only the verses with a word token of that key are
+    scanned and yielded: the others cannot hold an occurrence of the
+    word.  A verse whose keyed raw text lacks the key's longest run of
+    letters is dropped before it is normalized; the others are
+    tokenized and checked token by token."""
     cfg = cfg or ScanConfig()
+    if key is not None:
+        # normalizing rewrites only apostrophe-like marks and whitespace,
+        # so each letter run of a word stands unchanged in its raw verse;
+        # keying a whole verse differs from keying one word only in where
+        # Greek capital sigma becomes final ς, so ς and σ count as one
+        run = max("".join(ch if ch.isalpha() else " " for ch in key).split(),
+                  key=len, default="")
+        if "ς" in run or "σ" in run:
+            run = run.replace("ς", "σ")
+            doc = [v for v in doc if run in lex_key(v.text).replace("ς", "σ")]
+        else:
+            doc = [v for v in doc if run in lex_key(v.text)]
     for verse in doc:
         normalized = normalize_line(verse.text)
         tokens = tuple(tokenize(normalized))

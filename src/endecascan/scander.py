@@ -74,8 +74,15 @@ def _append_word(text: str, node: ScanState) -> str:
     analysis = node._analysis
     if token.word == analysis.form:
         body = analysis.rendered
-    else:  # e.g. a capitalised word: cut its own letters
-        body = "|".join(split_surface(token.word, analysis))
+    else:
+        # e.g. a capitalised word: cut its own letters by syllable lengths;
+        # advance checked that the analysis spells the word's key, which
+        # has one character per character of the word
+        word, pos, pieces = token.word, 0, []
+        for syllable in analysis.syllables:
+            pieces.append(word[pos:pos + len(syllable)])
+            pos += len(syllable)
+        body = "|".join(pieces)
     if node._melded:
         sep = " "
     else:
@@ -231,21 +238,6 @@ def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
 class BadAnalysisError(ValueError):
     """An analysis whose syllables do not spell the key of the word it
     scans: a different length or different letters."""
-
-
-def split_surface(surface: str, analysis: WordAnalysis) -> list[str]:
-    """Slice the surface form with the analysis' syllable lengths."""
-    out = []
-    pos = 0
-    for syllable in analysis.syllables:
-        end = pos + len(syllable)
-        out.append(surface[pos:end])
-        pos = end
-    if pos != len(surface):
-        raise BadAnalysisError(
-            f"analysis {'|'.join(analysis.syllables)!r} does not cover "
-            f"surface {surface!r}")
-    return out
 
 
 def advance(states: list[ScanState], token: Token,

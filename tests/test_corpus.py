@@ -2,14 +2,17 @@ import pathlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endecascan import corpus
 from endecascan.analysis import classify_word, pattern_histogram
 from endecascan.cli import main
 from endecascan.corpus import (Amendment, AmendmentMismatch, CorpusFormatError,
-                               apply_amendments, int_to_roman, parse_amendments,
+                               Verse, apply_amendments, int_to_roman, parse_amendments,
                                parse_corpus, render_scansion, roman_to_int,
                                scan_document, scan_records, write_outputs)
+from endecascan.lexicon import build_lexicon
 from endecascan.scander import ScanConfig, ScanStatus, scan_verse
 from endecascan.tokenizer import normalize_line, tokenize, word_tokens
 
@@ -255,6 +258,48 @@ def test_streamed_records_give_the_outputs_of_a_kept_report(
     if name == "inferno_i":
         syl = streamed["syllabified"].read_text("utf-8").splitlines()
         assert [line for line in syl[2:] if line] == canto_golden
+
+
+# verses over the characters that keying and normalizing treat apart:
+# `İ` keys as `i`; capital sigma keys as `σ` or, at the end of a word, as
+# `ς`; the apostrophe look-alikes and `‘` are rewritten; `¹` is neither a
+# letter nor a decimal digit
+filter_verse_st = st.text(st.sampled_from("aeiolrsAESİΣσςΑΒ'ʼ′`’‘ ,.;!?«»“”()-¹"),
+                          min_size=1, max_size=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=filter_verse_st)
+def test_a_key_keeps_every_verse_that_holds_its_word(text):
+    doc = (Verse("Inferno", 1, 1, text),)
+    tokens = tuple(tokenize(normalize_line(text)))
+    for key in {t.key for t in word_tokens(tokens)}:
+        (record,) = scan_records(doc, build_lexicon({}), ScanConfig(), key)
+        assert record.tokens == tokens
+
+
+def test_a_key_drops_the_verses_without_its_letters_before_normalizing(
+        monkeypatch, capsys, seed_lexicon, canto_document):
+    records = list(scan_records(canto_document, seed_lexicon, ScanConfig()))
+
+    def holding(key):
+        return [r for r in records if key in {t.key for t in word_tokens(r.tokens)}]
+
+    for key in sorted({t.key for r in records for t in word_tokens(r.tokens)}):
+        assert list(scan_records(canto_document, seed_lexicon, ScanConfig(),
+                                 key)) == holding(key), key
+    normalized, scanned = [], []
+    monkeypatch.setattr(corpus, "normalize_line", lambda line: (
+        normalized.append(line) or normalize_line(line)))
+    monkeypatch.setattr(corpus, "scan_verse", lambda tokens, *rest: (
+        scanned.append(tokens) or scan_verse(tokens, *rest)))
+    assert main(["query", "--word", "Selva", "--in",
+                 str(DATA / "inferno_i.txt")]) == 0
+    capsys.readouterr()
+    # "selvaggio" holds the letters but not the word: normalized, not scanned
+    assert normalized == [v.text for v in canto_document if "selva" in v.text]
+    assert len(normalized) == 3
+    assert scanned == [r.tokens for r in holding("selva")]
 
 
 def test_batch_memory_does_not_grow_with_the_corpus(tmp_path, capsys,

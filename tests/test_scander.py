@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,7 @@ from endecascan.lexicon import (PROB_ONE, PROB_ZERO, Propensity, WordAnalysis,
                                 build_lexicon)
 from endecascan.scander import (AccentMark, BadAnalysisError, ScanConfig,
                                 ScanState, ScanStatus, VerseScansion, advance,
-                                finalize, meld_probability, scan_verse,
-                                split_surface)
+                                finalize, meld_probability, scan_verse)
 from endecascan.tokenizer import (Token, TokenKind, normalize_line, tokenize,
                                   word_tokens)
 from oracle import enumerate_states
@@ -47,15 +48,6 @@ def test_meld_apostrophe_against_consonant_stays_apart():
     # "ch' i' |vi": the trailing apostrophe cannot meld into a consonant
     assert meld_probability(A, P(0)) == 0.0
     assert meld_probability(P(0), A) == 0.0
-
-
-def test_split_surface_preserves_case():
-    analysis = WordAnalysis(("nel",), (0,), P(0), P(0))
-    assert split_surface("Nel", analysis) == ["Nel"]
-    two = WordAnalysis(("bë", "a"), (-1,), P(1), P(1))
-    assert split_surface("Bëa", two) == ["Bë", "a"]
-    with pytest.raises(ValueError):
-        split_surface("Nelo", analysis)
 
 
 def test_scan_renders_capitalised_words_and_rejects_mismatched_analyses():
@@ -274,6 +266,48 @@ def test_likelihood_floor_prunes_only_the_unlikely_states(seed_lexicon):
     assert len(exhaustive.final_states) == 8192
     assert sum(s.likelihood >= 1e-9 for s in exhaustive.final_states) == 8178
     assert floored.status == exhaustive.status
+
+
+# the scanner's work on fixed inputs: (nodes made, final states,
+# admissible states).  fork_storm_lines.txt holds the 200 meld-prone lines
+# of the benchmark's fork-storm generator at seed 1, written once, so that
+# no change to the benchmark moves these pins.  A change that moves one
+# says which count changed and why.
+SCANNER_WORK = {
+    "inferno_i": (1242, 200, 141),
+    "e a x6": (4095, 2048, 0),
+    "e a x7": (16369, 8178, 0),
+    "e a x8": (64839, 32192, 0),
+    "fork storm": (227000, 93083, 6829),
+}
+
+
+@pytest.mark.parametrize("name", SCANNER_WORK)
+def test_scanner_work_on_fixed_inputs_is_pinned(monkeypatch, seed_lexicon,
+                                                canto_verses, name):
+    if name == "inferno_i":
+        lines = canto_verses
+    elif name == "fork storm":
+        lines = (pathlib.Path(__file__).parent / "data" / "fork_storm_lines.txt"
+                 ).read_text("utf-8").splitlines()
+    else:
+        lines = [" ".join(["e a"] * int(name[-1]))]
+    nodes = 0
+    real_advance = scander.advance
+
+    def counting(*args):
+        nonlocal nodes
+        successors = real_advance(*args)
+        nodes += len(successors)
+        return successors
+
+    monkeypatch.setattr(scander, "advance", counting)
+    final = admissible = 0
+    for line in lines:
+        result = scan(line, seed_lexicon)
+        final += len(result.final_states)
+        admissible += len(result.admissible)
+    assert (nodes, final, admissible) == SCANNER_WORK[name]
 
 
 @pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
