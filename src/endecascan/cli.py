@@ -22,7 +22,7 @@ from pathlib import Path
 # corpus, analysis and wordrules are imported inside the commands that use
 # them, so that `scan` and `lex check` start without them
 from .lexicon import (InputError, Lexicon, LexiconError, bundled_text,
-                      parse_lexicon, serialize_lexicon)
+                      data_lines, parse_lexicon, serialize_lexicon)
 from .scander import ScanConfig, ScanStatus, scan_verse
 from .tokenizer import lex_key, normalize_line, tokenize, word_tokens
 
@@ -114,16 +114,14 @@ def _cmd_lex_build(args) -> int:
     from .corpus import HEADER_RE
     cfg = (wordrules.load_rule_config(_read_text(args.rules))
            if args.rules else wordrules.default_config())
-    # keyed as the scanner keys them: each line normalized whole (a quote
-    # pair spans words), then tokenized; a canto header is not a verse,
-    # so its words are never looked up, and a `#` line is a comment
+    # keyed as the scanner keys them: each data line normalized whole (a
+    # quote pair spans words), then tokenized, so `#mezzo` drafts `mezzo`;
+    # a canto header is not a verse, so its words are never looked up
     words = []
-    for line in _read_text(args.words).splitlines():
-        if HEADER_RE.match(line) or line.strip().startswith("#"):
-            continue
-        kept = " ".join(w for w in line.split() if not w.startswith("#"))
-        tokens = tokenize(normalize_line(kept))
-        words += (token.key for token in word_tokens(tokens))
+    for _, line in data_lines(_read_text(args.words)):
+        if not HEADER_RE.match(line):
+            tokens = tokenize(normalize_line(line))
+            words += (token.key for token in word_tokens(tokens))
     lex = wordrules.build_draft_lexicon(words, cfg, all_variants=args.all_variants)
     sys.stdout.write(serialize_lexicon(lex))
     return EXIT_OK

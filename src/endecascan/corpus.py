@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .lexicon import InputError, Lexicon, Value
+from .lexicon import InputError, Lexicon, Value, data_lines
 from .scander import ScanConfig, ScanStatus, VerseScansion, scan_verse
 from .tokenizer import (Token, TokenKind, lex_key, normalize_line, reconstruct,
                         tokenize)
@@ -175,13 +175,10 @@ def apply_amendments(doc: tuple[Verse, ...], amendments: list[Amendment],
 
 
 def parse_amendments(text: str) -> list[Amendment]:
-    """Read the amendment data file: cantica, canto, line, original,
-    replacement, note as TAB-separated fields."""
+    """Read the amendment file's `data_lines`: cantica, canto, line,
+    original, replacement, note as TAB-separated fields."""
     out = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_no, line in data_lines(text):
         fields = line.split("\t")
         if len(fields) < 5:
             raise CorpusFormatError(f"amendment line {line_no}: expected 5+ fields")

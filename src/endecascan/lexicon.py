@@ -7,22 +7,22 @@ prior weight.  Multiple analyses of the same key model nondeterministic
 syllabification (diphthong vs. hiatus readings) and their weights must
 sum to one.
 
-File format: UTF-8 lines, ``#`` comments, and data lines of six
-TAB-separated fields::
+File format: UTF-8 lines as `data_lines` gives them (no blank or ``#``
+line, no space at either end), each of six TAB-separated fields::
 
     key  weight  p_l  p_r  syllabification  accents
 
 where propensities are decimals in [0, 1] or the literal ``A``
 (apostrophe sentinel), the syllabification joins syllables with ``|``
 and must spell the key, and accents is a comma-separated offset list,
-primary first.  A line ``@stress-ineligible`` followed by TAB-separated
-keys declares the monosyllables that never count as metrical accents.
+primary first.  A line whose first field is ``@stress-ineligible`` lists
+in its other fields the monosyllables that never count as metrical accents.
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 WEIGHT_TOLERANCE = 1e-9
 APOSTROPHE_VALUE = 2.0
@@ -224,20 +224,25 @@ def _parse_propensity(text: str, line_no: int) -> Propensity:
     return Propensity(value)
 
 
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line neither blank nor a `#` comment,
+    without the spaces at its ends; TABs stay, so an empty end field does too."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip()[:1] not in ("", "#"):
+            yield line_no, line.strip(" ")
+
+
 def parse_lexicon(text: str) -> Lexicon:
     """Parse the TAB-separated dictionary format described above."""
     entries: dict[str, list[WordAnalysis]] = {}
     ineligible: list[str] = []
     # a lexicon holds few distinct propensity texts: parse each one once
     propensities: dict[str, Propensity] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for line_no, line in data_lines(text):
+        fields = line.split("\t")
+        if fields[0] == "@stress-ineligible":
+            ineligible.extend(fields[1:])
             continue
-        if stripped.startswith("@stress-ineligible"):
-            ineligible.extend(stripped.split("\t")[1:])
-            continue
-        fields = line.rstrip("\n").split("\t")
         if len(fields) != 6:
             raise LexiconParseError(f"expected 6 fields, got {len(fields)}", line_no)
         key, weight_s, p_l_s, p_r_s, sylls_s, accents_s = fields

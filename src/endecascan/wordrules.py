@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .lexicon import (PROB_ONE, PROB_ZERO, InputError, Lexicon,
                       LexiconValidationError, Propensity, Value, WordAnalysis,
-                      build_lexicon, bundled_text, parse_lexicon)
+                      build_lexicon, bundled_text, data_lines, parse_lexicon)
 from .tokenizer import APOSTROPHE, lex_key
 
 STRONG_VOWELS = set("aeoàèéòóâêô")
@@ -100,13 +100,13 @@ class RuleConfig(Value):
 
 def default_config() -> RuleConfig:
     """`RuleConfig()` with the bundled hiatus list."""
-    lines = (line.strip() for line in bundled_text("hiatus_words.txt").splitlines())
     return RuleConfig(hiatus_exception_words=frozenset(
-        lex_key(line) for line in lines if line and not line.startswith("#")))
+        lex_key(line) for _, line in data_lines(bundled_text("hiatus_words.txt"))))
 
 
 def load_rule_config(text: str) -> RuleConfig:
-    """Read a config file: TAB-separated `setting<TAB>value...` lines.
+    """Read a config file's `data_lines`: `setting<TAB>value...`, where a
+    trailing TAB adds an empty value.
 
     Settings the file does not name keep their `RuleConfig()` value, so
     the hiatus list starts empty rather than from the bundled one.
@@ -114,10 +114,7 @@ def load_rule_config(text: str) -> RuleConfig:
     prob = dict(PROBABILISTIC_MONOSYLLABLES)
     hiatus: set[str] = set()
     settings = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(text):
         fields = line.split("\t")
         key, args = fields[0], fields[1:]
         if key == "never-synalephe":

@@ -145,6 +145,17 @@ def test_lex_build_skips_canto_header_lines(capsys, tmp_path):
     assert sorted(keys) == ["cammin", "del", "mezzo", "nel"]
 
 
+def test_lex_build_drafts_a_word_that_starts_with_a_hash(capsys, tmp_path):
+    # only a whole `#` line is a comment; `#mezzo` is keyed as scan keys it
+    words = tmp_path / "words.txt"
+    words.write_text("# a comment\n\n  nel #mezzo del  \n", "utf-8")
+    code, out, err = run(capsys, "lex", "build", "--words", str(words))
+    assert code == 0 and err == ""
+    keys = [line.split("\t")[0] for line in out.splitlines()
+            if not line.startswith(("#", "@"))]
+    assert keys == ["nel", "mezzo", "del"]
+
+
 def test_lex_build_normalizes_each_line_whole(capsys, tmp_path):
     # a quote pair spans words: the line is normalized as scan does it
     words = tmp_path / "words.txt"
@@ -295,6 +306,16 @@ def test_corpus_with_explicit_amendments(capsys, tmp_path):
                        "--amendments", str(amendments))
     assert code == 2
     assert "amendment" in err
+
+
+def test_an_amendment_row_with_spaces_at_its_ends_matches(capsys, tmp_path):
+    amendments = tmp_path / "fix.tsv"
+    amendments.write_text("# fixes\n\n Inferno\tI\t2\tselva\tselva \n", "utf-8")
+    code, out, err = run(capsys, "corpus", "--lexicon", SEED, "--in", CANTO,
+                         "--out", str(tmp_path / "out"),
+                         "--amendments", str(amendments))
+    assert (code, err) == (0, "")
+    assert "scanned 136 verses" in out
 
 
 NOT_UTF8 = "Inferno: Canto I\n\nperché\n".encode("latin-1")

@@ -131,6 +131,16 @@ def test_amendments_guard_against_drift():
         apply_amendments(doc, [Amendment("Inferno", 99, 3, "essere", "esser")])
 
 
+def test_amendment_rows_lose_the_spaces_at_their_ends_and_keep_their_tabs():
+    assert parse_amendments("\t\t\n\t# c\n Inferno\tI\t2\tselva\tselva \n") == [
+        Amendment("Inferno", 1, 2, "selva", "selva")]
+    # a TAB at the end is an empty replacement, which deletes the original
+    (delete,) = parse_amendments("Inferno\tI\t1\tselva \t")
+    assert delete == Amendment("Inferno", 1, 1, "selva ", "")
+    doc = parse_corpus("Inferno: Canto I\n\nuna selva oscura\n")
+    assert apply_amendments(doc, [delete])[0].text == "una oscura"
+
+
 def test_bundled_amendments_skip_what_they_cannot_apply(capsys):
     doc = parse_corpus(SAMPLE)
     elsewhere = [Amendment("Inferno", 20, 2, "suol", "x"),

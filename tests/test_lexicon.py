@@ -3,7 +3,7 @@ import pytest
 from endecascan.lexicon import (Lexicon, LexiconParseError,
                                 LexiconValidationError, MetricTuple,
                                 Propensity, UnknownWord, WordAnalysis,
-                                build_lexicon, parse_lexicon,
+                                build_lexicon, data_lines, parse_lexicon,
                                 serialize_lexicon)
 
 SELVA_LINE = "selva\t1\t0\t1\tsel|va\t-1"
@@ -80,6 +80,41 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon("\t1\t0\t1\tsel|va\t-1\n")
     with pytest.raises(LexiconParseError, match="line 1: bad weight 'w'"):
         parse_lexicon("selva\tw\t0\t1\tsel|va\t-1\n")
+
+
+def test_data_lines_skip_blank_and_comment_lines_and_strip_only_spaces():
+    text = ("# head\n\n  \n\t\t\n\t# c\n  # c\n"
+            " a\tb \n\tx\t\n c#d\n\u00a0e\u00a0\n")
+    assert list(data_lines(text)) == [
+        (7, "a\tb"), (8, "\tx\t"), (9, "c#d"), (10, "\u00a0e\u00a0")]
+    assert list(data_lines("")) == []
+    assert list(data_lines("x\r\ny")) == [(1, "x"), (2, "y")]
+
+
+# rows the shared reading of data lines changed: spaces at the ends of a
+# row go, TABs stay, and `@stress-ineligible` is a first field, not a prefix
+def test_a_lexicon_row_may_start_with_spaces():
+    lex = parse_lexicon("  " + SELVA_LINE + " \n")
+    assert lex == parse_lexicon(SELVA_LINE)
+
+
+def test_stress_ineligible_is_a_whole_first_field():
+    assert parse_lexicon("@stress-ineligible\te\t").stress_ineligible == \
+        frozenset({"", "e"})
+    assert parse_lexicon(" @stress-ineligible\te ").stress_ineligible == \
+        frozenset({"e"})
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 1: expected 6 fields, got 2$"):
+        parse_lexicon("@stress-ineligiblex\te")
+
+
+# and the edge cases it keeps: a TAB at either end of a row is a field (a
+# leading one gives `empty key`, pinned above), and a TAB-only line is blank
+def test_a_tab_at_the_end_of_a_lexicon_row_is_a_field():
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 1: expected 6 fields, got 7$"):
+        parse_lexicon(SELVA_LINE + "\t")
+    assert parse_lexicon("\t\t\n\t# c\n" + SELVA_LINE) == parse_lexicon(SELVA_LINE)
 
 
 def test_parse_rejects_syllables_that_do_not_spell_the_key():

@@ -269,16 +269,19 @@ def test_likelihood_floor_prunes_only_the_unlikely_states(seed_lexicon):
 
 
 # the scanner's work on fixed inputs: (nodes made, final states,
-# admissible states).  fork_storm_lines.txt holds the 200 meld-prone lines
-# of the benchmark's fork-storm generator at seed 1, written once, so that
-# no change to the benchmark moves these pins.  A change that moves one
-# says which count changed and why.
+# admissible states, classes, most classes at one word).  A class is the
+# (count, pending_p_r, a4, a6, a10, a10 at this word) of a node, counted
+# per `advance` call: the rest of the verse's search depends on nothing
+# else about a node but its likelihood.  fork_storm_lines.txt holds the
+# 200 meld-prone lines of the benchmark's fork-storm generator at seed 1,
+# written once, so that no change to the benchmark moves these pins.  A
+# change that moves one says which count changed and why.
 SCANNER_WORK = {
-    "inferno_i": (1242, 200, 141),
-    "e a x6": (4095, 2048, 0),
-    "e a x7": (16369, 8178, 0),
-    "e a x8": (64839, 32192, 0),
-    "fork storm": (227000, 93083, 6829),
+    "inferno_i": (1242, 200, 141, 1221, 4),
+    "e a x6": (4095, 2048, 0, 78, 12),
+    "e a x7": (16369, 8178, 0, 103, 13),
+    "e a x8": (64839, 32192, 0, 127, 13),
+    "fork storm": (227000, 93083, 6829, 18811, 47),
 }
 
 
@@ -292,13 +295,17 @@ def test_scanner_work_on_fixed_inputs_is_pinned(monkeypatch, seed_lexicon,
                  ).read_text("utf-8").splitlines()
     else:
         lines = [" ".join(["e a"] * int(name[-1]))]
-    nodes = 0
+    nodes = classes = most_classes = 0
     real_advance = scander.advance
 
-    def counting(*args):
-        nonlocal nodes
-        successors = real_advance(*args)
+    def counting(states, token, analyses, token_index, *rest):
+        nonlocal nodes, classes, most_classes
+        successors = real_advance(states, token, analyses, token_index, *rest)
         nodes += len(successors)
+        here = len({(s.count, s.pending_p_r, s.a4, s.a6, s.a10,
+                     s.accent10_word_index == token_index) for s in successors})
+        classes += here
+        most_classes = max(most_classes, here)
         return successors
 
     monkeypatch.setattr(scander, "advance", counting)
@@ -307,7 +314,7 @@ def test_scanner_work_on_fixed_inputs_is_pinned(monkeypatch, seed_lexicon,
         result = scan(line, seed_lexicon)
         final += len(result.final_states)
         admissible += len(result.admissible)
-    assert (nodes, final, admissible) == SCANNER_WORK[name]
+    assert (nodes, final, admissible, classes, most_classes) == SCANNER_WORK[name]
 
 
 @pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],

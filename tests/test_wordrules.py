@@ -1,15 +1,22 @@
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from endecascan import wordrules
-from endecascan.lexicon import (LexiconParseError, LexiconValidationError,
-                                Propensity)
+from endecascan.lexicon import (InputError, LexiconParseError,
+                                LexiconValidationError, Propensity,
+                                parse_lexicon, serialize_lexicon)
+from endecascan.scander import ScanStatus, scan_verse
+from endecascan.tokenizer import normalize_line, tokenize, word_tokens
 from endecascan.wordrules import (RuleConfig, WordRuleError, build_analyses,
                                   build_draft_lexicon, default_config,
                                   init_propensities, load_nondet_table,
                                   load_rule_config, locate_accent,
                                   split_syllables)
+from test_cli_fuzz import RULE_ROWS
+from test_tokenizer import MIXED_LETTERS
 
 HIATUS_FILE = (pathlib.Path(__file__).parents[1] / "src" / "endecascan"
                / "data" / "hiatus_words.txt")
@@ -229,6 +236,19 @@ def test_rule_config_file_round():
     assert cfg.accented_final_default_p_r == 0.2
 
 
+def test_rule_rows_lose_the_spaces_at_their_ends_and_keep_their_tabs():
+    assert load_rule_config("never-synalephe\tbe\tme ") == \
+        load_rule_config("never-synalephe\tbe\tme")
+    assert load_rule_config("  hiatus\tviaggio  ").hiatus_exception_words == \
+        frozenset({"viaggio"})
+    # a trailing TAB is an empty last value, as in every other data file
+    assert load_rule_config("hiatus\tfoo\t").hiatus_exception_words == \
+        frozenset({"", "foo"})
+    with pytest.raises(WordRuleError, match=r"^line 1: expected word, p_l, p_r$"):
+        load_rule_config("probabilistic\tx\t0.5\t0.25\t")
+    assert load_rule_config("\t\t\n\t# c\n") == RuleConfig()
+
+
 def test_empty_rule_file_is_the_default_rule_config():
     # a rules file replaces the bundled hiatus list rather than extending it
     assert load_rule_config("") == RuleConfig()
@@ -273,3 +293,44 @@ def test_drafts_against_the_seed_dictionary(cfg, seed_lexicon):
     assert (len(single), agree) == (608, {
         "syllables": 593, "primary accent": 564, "propensities": 592})
     assert len(single) - len(set().union(*differ.values())) == 561  # all three
+
+
+def loads_alone(row):
+    try:
+        load_rule_config(row)
+    except InputError:
+        return False
+    return True
+
+
+# forms of letters of both cases, accented and dieresis vowels, İ and the
+# apostrophe; a rules config of the fuzz rows that load
+draft_line_st = st.lists(st.text(alphabet=MIXED_LETTERS + "’'", min_size=1,
+                                  max_size=7), min_size=1, max_size=12).map(" ".join)
+draft_rules_st = st.none() | st.lists(
+    st.sampled_from([row for row in RULE_ROWS if loads_alone(row)]),
+    max_size=4).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(line=draft_line_st, rules=draft_rules_st, all_variants=st.booleans())
+def test_drafts_are_dictionaries_the_scanner_can_use(line, rules, all_variants):
+    if rules is None:
+        cfg = default_config()
+    else:
+        try:
+            cfg = load_rule_config(rules)
+        except InputError:  # rows that load alone may overlap
+            assume(False)
+    tokens = tokenize(normalize_line(line))
+    keys = [token.key for token in word_tokens(tokens)]
+    lex = build_draft_lexicon(keys, cfg, all_variants=all_variants)
+    assert set(lex.entries) == set(keys)
+    assert parse_lexicon(serialize_lexicon(lex)) == lex
+    for key, analyses in lex.entries.items():
+        for a in analyses:
+            assert "".join(a.syllables) == key and all(a.syllables)
+        assert sum(a.weight for a in analyses) == pytest.approx(1.0, abs=1e-9)
+    assert scan_verse(tokens, lex).status not in (
+        ScanStatus.FAIL_BAD_ANALYSIS, ScanStatus.FAIL_UNKNOWN_WORD)
