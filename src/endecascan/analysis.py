@@ -46,18 +46,17 @@ def classify_word(key: str, records: Iterable[VerseRecord]) -> list[Occurrence]:
         if chosen is None:
             continue
         words = word_tokens(record.tokens)
+        melds = chosen.melds
         for i, token in enumerate(words):
             if token.key != key:
                 continue
-            if i > 0:
-                outcome = Outcome.SYNALEPHE if chosen.melds[i] else Outcome.DIALEPHE
-                out.append(Occurrence(record.location, key, Side.LEFT,
-                                      outcome, words[i - 1].key))
-            if i + 1 < len(words):
-                outcome = (Outcome.SYNALEPHE if chosen.melds[i + 1]
-                           else Outcome.DIALEPHE)
-                out.append(Occurrence(record.location, key, Side.RIGHT,
-                                      outcome, words[i + 1].key))
+            for side, n in ((Side.LEFT, i - 1), (Side.RIGHT, i + 1)):
+                if 0 <= n < len(words):
+                    # melds[j] is the junction of word j with word j - 1
+                    outcome = (Outcome.SYNALEPHE if melds[max(i, n)]
+                               else Outcome.DIALEPHE)
+                    out.append(Occurrence(record.location, key, side,
+                                          outcome, words[n].key))
     return out
 
 

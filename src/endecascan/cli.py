@@ -42,15 +42,11 @@ def _read_text(path: str) -> str:
 
 def load_default_lexicon() -> Lexicon:
     env = os.environ.get("ENDECASCAN_LEXICON")
-    if env:
-        return parse_lexicon(_read_text(env))
-    return parse_lexicon(bundled_text("seed.lex"))
+    return parse_lexicon(_read_text(env) if env else bundled_text("seed.lex"))
 
 
 def _load_lexicon(path: str | None) -> Lexicon:
-    if path is None:
-        return load_default_lexicon()
-    return parse_lexicon(_read_text(path))
+    return load_default_lexicon() if path is None else parse_lexicon(_read_text(path))
 
 
 def _cmd_scan(args) -> int:
@@ -155,7 +151,8 @@ def _scan_records(args, key: str | None = None):
 
 def _cmd_query(args) -> int:
     from . import analysis
-    key = lex_key(args.word)
+    # keyed as every verse word is: normalized (so ch' asks for ch’), then keyed
+    key = lex_key(normalize_line(args.word))
     occurrences = analysis.classify_word(key, _scan_records(args, key))
     sys.stdout.write(analysis.occurrences_tsv(occurrences))
     return EXIT_OK

@@ -131,7 +131,10 @@ def parse_corpus(text: str) -> tuple[Verse, ...]:
         # a header holds the literal "Canto": other lines skip the match
         header = "Canto" in raw and HEADER_RE.match(raw)
         if header:
-            cantica, canto = header.group(1), roman_to_int(header.group(2))
+            try:
+                cantica, canto = header.group(1), roman_to_int(header.group(2))
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"line {line_no}: {exc}") from None
             if (cantica, canto) in seen:
                 print(f"endecascan: repeated header {raw.strip()!r} at line "
                       f"{line_no}; its verses repeat locations", file=sys.stderr)
@@ -204,9 +207,9 @@ def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
     With no key every verse is normalized, tokenized and scanned.  Given
     a lexicon key, only the verses with a word token of that key are
     scanned and yielded: the others cannot hold an occurrence of the
-    word.  A verse whose keyed raw text lacks the key's longest run of
-    letters is dropped before it is normalized; the others are
-    tokenized and checked token by token."""
+    word.  With ς read as σ on both sides, a verse whose keyed raw text
+    lacks the key's longest run of letters is dropped before it is
+    normalized; the others are tokenized and checked token by token."""
     cfg = cfg or ScanConfig()
     if key is not None:
         # normalizing rewrites only apostrophe-like marks and whitespace,
@@ -214,12 +217,8 @@ def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
         # keying a whole verse differs from keying one word only in where
         # Greek capital sigma becomes final ς, so ς and σ count as one
         run = max("".join(ch if ch.isalpha() else " " for ch in key).split(),
-                  key=len, default="")
-        if "ς" in run or "σ" in run:
-            run = run.replace("ς", "σ")
-            doc = [v for v in doc if run in lex_key(v.text).replace("ς", "σ")]
-        else:
-            doc = [v for v in doc if run in lex_key(v.text)]
+                  key=len, default="").replace("ς", "σ")
+        doc = [v for v in doc if run in lex_key(v.text).replace("ς", "σ")]
     for verse in doc:
         normalized = normalize_line(verse.text)
         tokens = tuple(tokenize(normalized))

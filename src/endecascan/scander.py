@@ -228,10 +228,7 @@ def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
     blocks it.  Otherwise the probability is the plain product.
     """
     if p_r.is_apostrophe or p_l.is_apostrophe:
-        if p_r.is_apostrophe and p_l.is_apostrophe:
-            return 1.0
-        other = p_l if p_r.is_apostrophe else p_r
-        return 0.0 if other.value == 0.0 else 1.0
+        return 0.0 if 0.0 in (p_r.value, p_l.value) else 1.0
     return p_r.value * p_l.value
 
 

@@ -411,6 +411,17 @@ def test_an_amendment_canto_numeral_error_names_its_line(capsys, tmp_path,
     assert err == f"endecascan: amendment line 2: {message}\n"
 
 
+@pytest.mark.parametrize("numeral", ["IIII", "MMMM"])
+def test_a_corpus_canto_numeral_error_names_its_line(capsys, tmp_path, numeral):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"preamble\n\nInferno: Canto {numeral}\n\n{VERSE}\n", "utf-8")
+    code, out, err = run(capsys, "corpus", "--lexicon", SEED, "--in", str(src),
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == (f"endecascan: line 3: non-canonical roman numeral "
+                   f"{numeral!r}\n")
+
+
 def test_query_subcommand(capsys):
     code, out, _ = run(capsys, "query", "--lexicon", SEED, "--word", "tra",
                        "--in", str(DATA / "inferno_i.txt"))
@@ -419,6 +430,14 @@ def test_query_subcommand(capsys):
     # the word is keyed as the verses' words are, so case does not matter
     assert run(capsys, "query", "--lexicon", SEED, "--word", "TRA",
                "--in", str(DATA / "inferno_i.txt")) == (code, out, "")
+    # and it is normalized first: an ASCII apostrophe is the typographic
+    # one, and the spaces around the word go
+    for given, word in (("ch'", "ch’"), ("l'", "l’"), (" selva ", "selva")):
+        want = run(capsys, "query", "--lexicon", SEED, "--word", word,
+                   "--in", str(DATA / "inferno_i.txt"))
+        assert want[1].count("\n") > 1
+        assert run(capsys, "query", "--lexicon", SEED, "--word", given,
+                   "--in", str(DATA / "inferno_i.txt")) == want
 
 
 def test_stats_subcommand(capsys):

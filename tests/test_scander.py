@@ -12,7 +12,7 @@ from endecascan.scander import (AccentMark, BadAnalysisError, ScanConfig,
                                 finalize, meld_probability, scan_verse)
 from endecascan.tokenizer import (Token, TokenKind, normalize_line, tokenize,
                                   word_tokens)
-from oracle import enumerate_states
+from oracle import _meld, enumerate_states
 from test_acceptance import EXHAUSTIVE, PERMISSIVE, VERSE_WORDS, verse_st
 
 A = Propensity.apostrophe()
@@ -42,6 +42,12 @@ def word_token(word, lead="", trail=""):
 ])
 def test_meld_probability(p_r, p_l, expected):
     assert meld_probability(p_r, p_l) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("p_r", [A, P(0), P(0.1), P(0.5), P(1)])
+@pytest.mark.parametrize("p_l", [A, P(0), P(0.1), P(0.5), P(1)])
+def test_meld_probability_matches_the_oracle(p_r, p_l):
+    assert meld_probability(p_r, p_l) == _meld(p_r, p_l)
 
 
 def test_meld_apostrophe_against_consonant_stays_apart():
