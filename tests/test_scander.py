@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from endecascan import scander
+from endecascan.corpus import parse_corpus
 from endecascan.lexicon import (PROB_ONE, PROB_ZERO, Propensity, WordAnalysis,
                                 build_lexicon)
 from endecascan.scander import (AccentMark, BadAnalysisError, ScanConfig,
@@ -321,6 +323,31 @@ def test_scanner_work_on_fixed_inputs_is_pinned(monkeypatch, seed_lexicon,
         final += len(result.final_states)
         admissible += len(result.admissible)
     assert (nodes, final, admissible, classes, most_classes) == SCANNER_WORK[name]
+
+
+# the ranking of every scan on fixed inputs: (text, repr(likelihood),
+# count) of each admissible state and then of each final state, in the
+# order the scan returns them, for every verse of Inferno I, of
+# fork_storm_lines.txt and of anomalies_fixture.txt.  The chosen reading
+# is pinned elsewhere; this pins the order of all the others, ties too.
+RANKING_SHA256 = "0310776f5eb5823317e8a5ed7ddac149b560e865800c9456c785b001f3acbb74"
+
+
+def test_ranking_on_fixed_inputs_is_pinned(seed_lexicon, canto_verses):
+    data = pathlib.Path(__file__).parent / "data"
+    anomalies = parse_corpus((data / "anomalies_fixture.txt").read_text("utf-8"))
+    lines = (canto_verses
+             + (data / "fork_storm_lines.txt").read_text("utf-8").splitlines()
+             + [verse.text for verse in anomalies])
+    digest = hashlib.sha256()
+    for line in lines:
+        result = scan(line, seed_lexicon)
+        for states in (result.admissible, result.final_states):
+            for s in states:
+                digest.update(f"{s.text}\t{s.likelihood!r}\t{s.count}\n"
+                              .encode("utf-8"))
+            digest.update(b"\n")
+    assert digest.hexdigest() == RANKING_SHA256
 
 
 @pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
