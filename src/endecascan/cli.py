@@ -23,8 +23,8 @@ from pathlib import Path
 # them, so that `scan` and `lex check` start without them
 from .lexicon import (InputError, Lexicon, LexiconError, bundled_text,
                       data_lines, parse_lexicon, serialize_lexicon)
-from .scander import ScanConfig, ScanStatus, scan_verse
-from .tokenizer import lex_key, normalize_line, tokenize, word_tokens
+from .scander import ScanStatus, scan_verse
+from .tokenizer import TokenKind, normalize_line, tokenize, word_tokens
 
 EXIT_OK = 0
 EXIT_VERSE_FAILURES = 1
@@ -52,7 +52,7 @@ def _load_lexicon(path: str | None) -> Lexicon:
 def _cmd_scan(args) -> int:
     lex = _load_lexicon(args.lexicon)
     tokens = tokenize(normalize_line(args.verse))
-    result = scan_verse(tokens, lex, ScanConfig())
+    result = scan_verse(tokens, lex)
     if result.status is ScanStatus.FAIL_UNKNOWN_WORD:
         print(f"endecascan: unknown word {result.unknown_key!r}", file=sys.stderr)
         return EXIT_VERSE_FAILURES
@@ -146,13 +146,17 @@ def _scan_records(args, key: str | None = None):
                   else bundled_text("amendments.tsv"))
     doc = corpus.apply_amendments(doc, corpus.parse_amendments(amendments),
                                   strict=bool(args.amendments))
-    return corpus.scan_records(doc, lex, ScanConfig(), key)
+    return corpus.scan_records(doc, lex, key=key)
 
 
 def _cmd_query(args) -> int:
     from . import analysis
-    # keyed as every verse word is: normalized (so ch' asks for ch’), then keyed
-    key = lex_key(normalize_line(args.word))
+    # keyed as every verse word is: normalized (so ch' asks for ch’), then
+    # tokenized (so «Selva», asks for selva); it must make one word token
+    tokens = tokenize(normalize_line(args.word))
+    if len(tokens) != 1 or tokens[0].kind is not TokenKind.WORD:
+        raise InputError(f"--word {args.word!r} is not one word")
+    key = tokens[0].key
     occurrences = analysis.classify_word(key, _scan_records(args, key))
     sys.stdout.write(analysis.occurrences_tsv(occurrences))
     return EXIT_OK

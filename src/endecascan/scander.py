@@ -108,25 +108,21 @@ class ScanState(Value):
     """
 
     _fields = ("text", "likelihood", "count", "pending_p_r", "a4", "a6",
-               "a10", "accent10_word_index", "melds", "accents", "order")
+               "a10", "melds", "accents")
     __slots__ = ("likelihood", "count", "pending_p_r", "a4", "a6", "a10",
-                 "accent10_word_index", "order",
                  # chain nodes; _word is (token, token index, stress-eligible)
                  "_parent", "_analysis", "_word", "_melded",
                  "_text")  # None on a chain node until its text is read
 
     def __init__(self, likelihood: float = 1.0, count: int = 0,
                  pending_p_r: Propensity = PROB_ZERO, a4: bool = False,
-                 a6: bool = False, a10: bool = False,
-                 accent10_word_index: int | None = None, order: int = 0):
+                 a6: bool = False, a10: bool = False):
         self.likelihood = likelihood
         self.count = count
         self.pending_p_r = pending_p_r
         self.a4 = a4
         self.a6 = a6
         self.a10 = a10
-        self.accent10_word_index = accent10_word_index
-        self.order = order  # construction order, the deterministic tie-breaker
         self._parent = None
         self._text = ""
 
@@ -256,7 +252,6 @@ def advance(states: list[ScanState], token: Token,
     floor = cfg.likelihood_floor
     budget = cfg.max_total_syllables
     successors: list[ScanState] = []
-    order = 0
     for state in states:
         p_r = state.pending_p_r
         for analysis in analyses:
@@ -277,7 +272,6 @@ def advance(states: list[ScanState], token: Token,
                 likelihood = state.likelihood * analysis.weight * branch_p
                 count = state.count + analysis.n - (1 if melded else 0)
                 a4, a6, a10 = state.a4, state.a6, state.a10
-                accent10_word = state.accent10_word_index
                 if stress_eligible:
                     # accents of ineligible words count nowhere
                     offsets = analysis.accents
@@ -287,14 +281,12 @@ def advance(states: list[ScanState], token: Token,
                         a6 = True
                     if not a10 and count + offsets[0] == TENTH:
                         a10 = True
-                        accent10_word = token_index
                 if pruning:
                     if likelihood < floor:
                         continue
                     # trailing-word rule: once the tenth-syllable stress is
                     # placed, further words may not exceed the total budget
-                    if (a10 and accent10_word != token_index
-                            and count > budget):
+                    if state.a10 and count > budget:
                         continue
                 node = _new_state(ScanState)
                 node.likelihood = likelihood
@@ -303,29 +295,26 @@ def advance(states: list[ScanState], token: Token,
                 node.a4 = a4
                 node.a6 = a6
                 node.a10 = a10
-                node.accent10_word_index = accent10_word
-                node.order = order
                 node._parent = state
                 node._analysis = analysis
                 node._word = word
                 node._melded = melded
                 node._text = None
                 successors.append(node)
-                order += 1
     return successors
 
 
-def finalize(states: list[ScanState], cfg: ScanConfig,
-             last_word_index: int) -> VerseScansion:
+def finalize(states: list[ScanState], cfg: ScanConfig) -> VerseScansion:
     """Filter final states by the metric constraints and pick a winner."""
     final = tuple(states)
     require_a10, budget = cfg.require_a10, cfg.max_total_syllables
     # a10 when required, and at most the budget of syllables unless the
-    # tenth-syllable stress is in the last word (versi sdruccioli)
+    # tenth-syllable stress is in the last word (versi sdruccioli): a10 only
+    # ever turns on, so it is there when the parent (if any) lacks it
     admissible = [s for s in states
                   if (s.a10 or not require_a10)
-                  and (s.count <= budget or (
-                      s.a10 and s.accent10_word_index == last_word_index))]
+                  and (s.count <= budget or (s.a10 and (
+                      s._parent is None or not s._parent.a10)))]
     if not admissible:
         best = max(states, key=lambda s: s.likelihood, default=None)
         return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, final,
@@ -343,18 +332,18 @@ def finalize(states: list[ScanState], cfg: ScanConfig,
 
 
 def _rank(states: list[ScanState], eps: float) -> list[ScanState]:
-    by_likelihood = sorted(states, key=lambda s: -s.likelihood)
-    ranked: list[ScanState] = []
+    """By likelihood; within eps, by fewer syllables, then by position."""
+    by_likelihood = sorted(range(len(states)), key=lambda k: -states[k].likelihood)
+    ranked: list[int] = []
     i = 0
     while i < len(by_likelihood):
-        j = i
-        while (j + 1 < len(by_likelihood)
-               and by_likelihood[i].likelihood - by_likelihood[j + 1].likelihood <= eps):
+        top, j = states[by_likelihood[i]].likelihood, i + 1
+        while (j < len(by_likelihood)
+               and top - states[by_likelihood[j]].likelihood <= eps):
             j += 1
-        group = sorted(by_likelihood[i:j + 1], key=lambda s: (s.count, s.order))
-        ranked.extend(group)
-        i = j + 1
-    return ranked
+        ranked += sorted(by_likelihood[i:j], key=lambda k: (states[k].count, k))
+        i = j
+    return [states[k] for k in ranked]
 
 
 # every verse starts from this empty root; states are values, so one serves
@@ -384,4 +373,4 @@ def scan_verse(tokens: Iterable[Token], lex: Lexicon,
             return VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS, ())
         if not states:
             return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
-    return finalize(states, cfg, len(words) - 1)
+    return finalize(states, cfg)

@@ -430,14 +430,21 @@ def test_query_subcommand(capsys):
     # the word is keyed as the verses' words are, so case does not matter
     assert run(capsys, "query", "--lexicon", SEED, "--word", "TRA",
                "--in", str(DATA / "inferno_i.txt")) == (code, out, "")
-    # and it is normalized first: an ASCII apostrophe is the typographic
-    # one, and the spaces around the word go
-    for given, word in (("ch'", "ch’"), ("l'", "l’"), (" selva ", "selva")):
+    # and it is normalized and tokenized first: an ASCII apostrophe is the
+    # typographic one, and the spaces and marks around the word go
+    for given, word in (("ch'", "ch’"), ("l'", "l’"), (" selva ", "selva"),
+                        ("Selva,", "selva"), ("«Selva»", "selva")):
         want = run(capsys, "query", "--lexicon", SEED, "--word", word,
                    "--in", str(DATA / "inferno_i.txt"))
         assert want[1].count("\n") > 1
         assert run(capsys, "query", "--lexicon", SEED, "--word", given,
                    "--in", str(DATA / "inferno_i.txt")) == want
+    # what does not make exactly one word token is a fatal input error
+    for given in ("ch'io", "selva oscura", ",", "", "123"):
+        code, out, err = run(capsys, "query", "--lexicon", SEED, "--word",
+                             given, "--in", str(DATA / "inferno_i.txt"))
+        assert (code, out) == (2, "")
+        assert err == f"endecascan: --word {given!r} is not one word\n"
 
 
 def test_stats_subcommand(capsys):
@@ -580,6 +587,22 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
     for name in ("corpus", "analysis", "wordrules"):
         assert f"endecascan.{name}" not in modules
     assert "dataclasses" not in modules and "inspect" not in modules
+
+
+def test_corpus_does_not_load_analysis_or_wordrules(tmp_path):
+    script = f"""if True:
+        import json, sys
+        from endecascan import cli
+        codes = [cli.main(["corpus", "--in", {CANTO!r}, "--out", "out"])]
+        print(json.dumps([codes, sorted(sys.modules)]))
+    """
+    proc = run_fresh(tmp_path, script)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0]
+    assert "endecascan.corpus" in modules
+    for name in ("analysis", "wordrules"):
+        assert f"endecascan.{name}" not in modules
 
 
 def test_no_command_loads_dataclasses(tmp_path):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from endecascan.analysis import classify_word, occurrences_tsv
 from endecascan.cli import _scan_records, build_parser, main
-from endecascan.tokenizer import lex_key
+from endecascan.tokenizer import normalize_line, tokenize
 
 SEED = (pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
         / "seed.lex")
@@ -164,8 +164,10 @@ def check_outcomes(command, printed_rows, verse, corpus_word, corpus_tail,
             code = main(argv)
         if command[0] == "query" and code == 0:
             # the word's filter skips only verses that hold no occurrence:
-            # the table is the one the unfiltered records give
-            key = lex_key(word)
+            # the table is the one the unfiltered records give; a query
+            # that succeeds asked for a word that makes one word token
+            [token] = tokenize(normalize_line(word))
+            key = token.key
             with contextlib.redirect_stderr(io.StringIO()):
                 records = _scan_records(build_parser().parse_args(argv))
                 want = occurrences_tsv(classify_word(key, records))

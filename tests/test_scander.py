@@ -310,8 +310,9 @@ def test_scanner_work_on_fixed_inputs_is_pinned(monkeypatch, seed_lexicon,
         nonlocal nodes, classes, most_classes
         successors = real_advance(states, token, analyses, token_index, *rest)
         nodes += len(successors)
+        # a10 only ever turns on: it came at this word if the parent lacks it
         here = len({(s.count, s.pending_p_r, s.a4, s.a6, s.a10,
-                     s.accent10_word_index == token_index) for s in successors})
+                     s.a10 and not s._parent.a10) for s in successors})
         classes += here
         most_classes = max(most_classes, here)
         return successors
@@ -398,21 +399,22 @@ def test_advance_conserves_likelihood_and_grows_counts(seed_lexicon, canto_verse
 
 
 def test_finalize_empty_reports_failure():
-    out = finalize([], ScanConfig(), 0)
+    out = finalize([], ScanConfig())
     assert out.status is ScanStatus.FAIL_NO_ACCENT10
     assert out.chosen is None
 
 
 def test_finalize_tie_break_prefers_fewer_syllables():
-    def state(count, order):
+    def state(count):
         return ScanState(likelihood=0.25, count=count, pending_p_r=P(0),
-                         a4=True, a10=True, accent10_word_index=0, order=order)
+                         a4=True, a10=True)
 
-    result = finalize([state(11, 0), state(10, 1)], ScanConfig(), 3)
+    result = finalize([state(11), state(10)], ScanConfig())
     assert result.chosen.count == 10
-    # equal counts fall back to construction order
-    result = finalize([state(11, 1), state(11, 0)], ScanConfig(), 3)
-    assert result.chosen.order == 0
+    # equal counts fall back to construction order: the order of the list
+    a, b = state(11), state(11)
+    assert finalize([a, b], ScanConfig()).chosen is a
+    assert finalize([b, a], ScanConfig()).chosen is b
 
 
 def test_scan_verse_worked_example(seed_lexicon):
