@@ -137,12 +137,15 @@ class WordAnalysis(Value):
 
     accents are offsets from the right end, primary first.  form, n and
     rendered (the syllables joined by bars, as a scansion renders them)
-    are derived once; they are not fields, so equality, hashing and repr
-    read the fields alone.  A value; never assign to one.
+    are derived once, and so are the two pieces a scan's text appends for
+    the word: apart (`" |" + rendered`, after a separate junction; the
+    verse's first word drops its space) and melded (`" " + rendered`).
+    None is a field, so equality, hashing and repr read the fields alone.
+    A value; never assign to one.
     """
 
     _fields = ("syllables", "accents", "p_l", "p_r", "weight")
-    __slots__ = _fields + ("form", "n", "rendered")
+    __slots__ = _fields + ("form", "n", "rendered", "apart", "melded")
 
     def __init__(self, syllables: Iterable[str], accents: Iterable[int],
                  p_l: Propensity, p_r: Propensity, weight: float = 1.0):
@@ -155,7 +158,9 @@ class WordAnalysis(Value):
             raise LexiconValidationError("at least the primary accent is required")
         self.form = "".join(syllables)
         self.n = n = len(syllables)
-        self.rendered = "|".join(syllables)
+        self.rendered = rendered = "|".join(syllables)
+        self.apart = " |" + rendered
+        self.melded = " " + rendered
         for o in accents:
             if not -(n - 1) <= o <= 0:
                 raise LexiconValidationError(

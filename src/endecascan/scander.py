@@ -14,7 +14,10 @@ the word extends.  The rendered syllabification, the per-word meld flags
 and the accent marks are read off that chain only when asked for.  A
 state's text is its parent's text plus its word's piece, rendered and
 kept when first read, so the readings of a verse share the text of their
-common prefix and each node's text is built at most once.
+common prefix and each node's text is built at most once.  A plain word,
+its key with no mark around it, adds a piece its analysis made once
+(`melded` or `apart`); only a capitalised or punctuated word is cut from
+its own letters.
 
 Metric constraints prune the candidate space: a stress on the tenth
 syllable is mandatory, a stress on the fourth or sixth is preferred,
@@ -138,6 +141,12 @@ class ScanState(Value):
 
     @property
     def text(self) -> str:
+        """The reading rendered: words apart by spaces, each one's
+        syllables joined by bars, a bar before each word that does not
+        meld and each word's marks around it.  A node's text is its
+        parent's plus its word's piece: a plain token adds its analysis's
+        melded or apart piece, made once per analysis; any other word is
+        cut from its letters by `_append_word`."""
         text = self._text
         if text is None:
             # fill in the missing texts down from the nearest node that
@@ -149,7 +158,15 @@ class ScanState(Value):
                 node = node._parent
                 text = node._text
             for node in reversed(unbuilt):
-                text = _append_word(text, node)
+                if node._word[0].plain:
+                    if node._melded:
+                        text += node._analysis.melded
+                    elif text:
+                        text += node._analysis.apart
+                    else:  # the verse's first word
+                        text = node._analysis.apart[1:]
+                else:
+                    text = _append_word(text, node)
                 node._text = text
         return text
 
@@ -174,16 +191,18 @@ class ScanState(Value):
         """One flag per syllable, set where an accent of a stress-eligible
         word lands: its primary one, or any with include_secondary.  The
         profile of `accents`, read off the chain without making marks."""
-        count = self.count
-        stressed = [False] * count
+        stressed = [False] * self.count
         node = self
         while node._parent is not None:
             if node._word[2]:
                 offsets = node._analysis.accents
                 for o in offsets if include_secondary else offsets[:1]:
-                    position = node.count + o
-                    if 0 < position <= count:
-                        stressed[position - 1] = True
+                    # node.count + o is in 1..self.count on a chain from
+                    # scan_verse's empty root: an accent lands past the
+                    # count before its word, less one if the word melds,
+                    # and the root's p_r of 0 keeps the first word from
+                    # melding; counts never fall along a chain
+                    stressed[node.count + o - 1] = True
             node = node._parent
         return tuple(stressed)
 

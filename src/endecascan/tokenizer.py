@@ -90,16 +90,20 @@ class Token(Value):
     surface is the original whitespace-delimited slice (punctuation
     included); for word tokens, word/key hold the bare form and the
     lexicon key, and lead/trail the punctuation context for rendering.
-    Tokens are values; never assign to one.
+    plain, derived and not a field, says that the word renders as its
+    key alone: no capital and no mark around it.  Tokens are values;
+    never assign to one.
     """
 
-    __slots__ = _fields = ("kind", "surface", "space_before", "word", "key",
-                           "lead", "trail")
+    _fields = ("kind", "surface", "space_before", "word", "key", "lead",
+               "trail")
+    __slots__ = _fields + ("plain",)
 
     def __init__(self, kind: TokenKind, surface: str, space_before: bool,
                  word: str = "", key: str = "", lead: str = "", trail: str = ""):
         self.kind, self.surface, self.space_before = kind, surface, space_before
         self.word, self.key, self.lead, self.trail = word, key, lead, trail
+        self.plain = word == key and not lead and not trail
 
 
 def normalize_line(line: str) -> str:

@@ -215,6 +215,11 @@ def _split_run(run: str, hiatus_word: bool) -> list[tuple[int, int]]:
     return bounds
 
 
+# the longest cluster _legal_onset accepts: an s, a legal onset of up to
+# three letters and a glide (sgliu, sstri)
+_MAX_ONSET = 5
+
+
 def _legal_onset(c: str) -> bool:
     """Whether the lowercase consonant cluster c can open a syllable."""
     # a trailing i/u here is a palatal/velar spelling glide (cia, gui, ...):
@@ -254,9 +259,10 @@ def split_syllables(form: str, cfg: RuleConfig) -> list[str]:
     for k in range(len(nuclei) - 1):
         gap_start = nuclei[k][1]
         gap_end = nuclei[k + 1][0]
-        # longest legal onset wins; the rest stays in the coda
+        # longest legal onset wins; the rest stays in the coda.  No onset
+        # is longer than _MAX_ONSET, so only a gap's last cuts are tried
         cut = gap_end
-        for candidate in range(gap_start, gap_end):
+        for candidate in range(max(gap_start, gap_end - _MAX_ONSET), gap_end):
             if _legal_onset(low[candidate:gap_end]):
                 cut = candidate
                 break

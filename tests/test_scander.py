@@ -1,8 +1,9 @@
 import hashlib
 import pathlib
+from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from endecascan import scander
@@ -15,7 +16,7 @@ from endecascan.scander import (AccentMark, BadAnalysisError, ScanConfig,
 from endecascan.tokenizer import (Token, TokenKind, normalize_line, tokenize,
                                   word_tokens)
 from oracle import _meld, enumerate_states
-from test_acceptance import EXHAUSTIVE, PERMISSIVE, VERSE_WORDS, verse_st
+from test_acceptance import PERMISSIVE, PUNCT_POOL, VERSE_WORDS, verse_st
 
 A = Propensity.apostrophe()
 
@@ -81,30 +82,56 @@ def test_advance_rejects_a_mismatched_analysis_before_any_successor():
                     advance(states, token, (bad,), 0, True, ScanConfig())
 
 
-# a word as a line may write it: capitalised or not, with an opening mark
-# before it and a closing or pausing mark after it
+def oracle_in_scan_order(tokens, lex):
+    """enumerate_states' readings in the order scan_verse makes them: word
+    by word, each analysis in turn, the melded branch first.  The oracle
+    takes the analyses of every word first and then the meld flags."""
+    options = [lex.lookup(t.key) for t in word_tokens(tokens)]
+    keys = []
+    for choice in product(*(range(len(o)) for o in options)):
+        analyses = [o[c] for o, c in zip(options, choice)]
+        branches = [(False,)]
+        for left, right in zip(analyses, analyses[1:]):
+            m = _meld(left.p_r, right.p_l)
+            branches.append((False,) if m <= 0.0 else (True,) if m >= 1.0
+                            else (True, False))
+        for melds in product(*branches):
+            keys.append([x for c, melded in zip(choice, melds)
+                         for x in (c, not melded)])
+    states = enumerate_states(tokens, lex)
+    return [states[k] for k in sorted(range(len(states)), key=keys.__getitem__)]
+
+
+# a word as a line may write it: capitalised or not, with marks of the
+# acceptance pool (and two more openers) before and after it, each glued
+# to it or standing alone
 marked_word_st = st.builds(
-    lambda word, capital, lead, trail:
-        lead + (word[0].upper() + word[1:] if capital else word) + trail,
+    lambda word, capital, lead, trail, glued:
+        (lead + ("" if glued else " ")
+         + (word[0].upper() + word[1:] if capital else word)
+         + ("" if glued else " ") + trail),
     st.sampled_from(VERSE_WORDS), st.booleans(),
-    st.sampled_from(["", "", "«", "“", "("]),
-    st.sampled_from(["", "", ",", ";", ".", "!", "?", "»"]))
+    st.sampled_from([""] * 6 + PUNCT_POOL + ["“", "("]),
+    st.sampled_from([""] * 6 + PUNCT_POOL), st.booleans())
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(words=st.lists(marked_word_st, min_size=1, max_size=6))
 def test_rendered_states_match_the_oracle(seed_lexicon, words):
+    # every final state, in the order the scan makes them: plain words
+    # (their analysis's pieces) and capitalised or marked ones (cut from
+    # their letters) meet at forked positions
     tokens = tokenize(normalize_line(" ".join(words)))
-    engine = scan_verse(tokens, seed_lexicon, EXHAUSTIVE)
-    got = sorted((s.text, s.count, s.likelihood, s.a4, s.a6, s.a10)
-                 for s in engine.final_states)
-    want = sorted((d["text"], d["count"], d["likelihood"], d["a4"], d["a6"],
-                   d["a10"]) for d in enumerate_states(tokens, seed_lexicon))
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g[:2] == w[:2] and g[3:] == w[3:], (g, w)
-        assert abs(g[2] - w[2]) <= 1e-12, (g, w)
+    engine = scan_verse(tokens, seed_lexicon, PERMISSIVE)
+    # a glued apostrophe can make a word that the lexicon lacks
+    assume(engine.status is not ScanStatus.FAIL_UNKNOWN_WORD)
+    want = oracle_in_scan_order(tokens, seed_lexicon)
+    assert len(engine.final_states) == len(want)
+    for s, d in zip(engine.final_states, want):
+        assert (s.text, s.count, s.a4, s.a6, s.a10) \
+            == (d["text"], d["count"], d["a4"], d["a6"], d["a10"])
+        assert abs(s.likelihood - d["likelihood"]) <= 1e-12, (s, d)
 
 
 def test_equal_accent_marks_hash_equal():
@@ -133,6 +160,10 @@ def test_scan_config_is_a_checked_value():
                 {"likelihood_floor": -1.0}):
         with pytest.raises(ValueError):
             ScanConfig(**bad)
+
+
+def test_scan_config_accepts_a_budget_of_one_syllable():
+    assert ScanConfig(max_total_syllables=1).max_total_syllables == 1
 
 
 def test_verse_scansions_are_values_of_their_fields():
@@ -241,26 +272,37 @@ def test_final_state_fields_agree_with_text(seed_lexicon, cfg, verse):
 
 
 def test_final_states_build_each_shared_prefix_once(seed_lexicon, monkeypatch):
-    calls = 0
-    append_word = scander._append_word
+    # every text a node builds is stored in its _text slot, so count the
+    # stores: one per node of the trellis, however many readings share it
+    slot = ScanState.__dict__["_text"]
+    stores = 0
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return append_word(*args)
+    class CountingSlot:
+        def __get__(self, state, owner=None):
+            return slot.__get__(state, owner)
 
-    monkeypatch.setattr(scander, "_append_word", counting)
-    result = scan("e a e a e a e a e a e a", seed_lexicon)
-    assert len(result.final_states) == 2048
-    for state in result.final_states:
-        assert state.text.count(" ") == 11
-    nodes = set()  # by identity: hashing a state reads its text
-    for state in result.final_states:
-        node = state
-        while node._parent is not None and id(node) not in nodes:
-            nodes.add(id(node))
-            node = node._parent
-    assert calls <= len(nodes)
+        def __set__(self, state, value):
+            nonlocal stores
+            stores += value is not None
+            slot.__set__(state, value)
+
+    # plain words, then capitalised and punctuated ones, which are cut
+    # from their letters
+    for verse in ("e a e a e a e a e a e a", "E a, e «a» E a; e a e, A e a!"):
+        result = scan(verse, seed_lexicon)
+        stores = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(ScanState, "_text", CountingSlot())
+            assert len(result.final_states) == 2048
+            for state in result.final_states:
+                assert state.text.count(" ") == 11
+        nodes = set()  # by identity: hashing a state reads its text
+        for state in result.final_states:
+            node = state
+            while node._parent is not None and id(node) not in nodes:
+                nodes.add(id(node))
+                node = node._parent
+        assert stores == len(nodes), verse
 
 
 def test_likelihood_floor_prunes_only_the_unlikely_states(seed_lexicon):
@@ -274,6 +316,49 @@ def test_likelihood_floor_prunes_only_the_unlikely_states(seed_lexicon):
     assert len(exhaustive.final_states) == 8192
     assert sum(s.likelihood >= 1e-9 for s in exhaustive.final_states) == 8178
     assert floored.status == exhaustive.status
+    # a reading exactly at the floor stays
+    halves = tuple(WordAnalysis(("sel", "va"), (o,), P(0), P(1), 0.5)
+                   for o in (-1, 0))
+    kept = advance([ScanState()], word_token("selva"), halves, 0, True,
+                   ScanConfig(likelihood_floor=0.5))
+    assert [s.likelihood for s in kept] == [0.5, 0.5]
+
+
+def fixed_lines(canto_verses):
+    """The verses of Inferno I, fork_storm_lines.txt and
+    anomalies_fixture.txt."""
+    data = pathlib.Path(__file__).parent / "data"
+    anomalies = parse_corpus((data / "anomalies_fixture.txt").read_text("utf-8"))
+    return (canto_verses
+            + (data / "fork_storm_lines.txt").read_text("utf-8").splitlines()
+            + [verse.text for verse in anomalies])
+
+
+def assert_pruning_changes_no_outcome(line, lex):
+    # the incremental prunes drop early what finalize would reject: with
+    # no likelihood floor, pruning or not gives the same status, chosen
+    # reading and admissible readings, in order
+    tokens = tokenize(normalize_line(line))
+    outcomes = []
+    for pruning in (True, False):
+        result = scan_verse(tokens, lex, ScanConfig(likelihood_floor=0.0,
+                                                    incremental_pruning=pruning))
+        outcomes.append((result.status, result.chosen and result.chosen.text,
+                         [(s.text, s.likelihood, s.count) for s in result.admissible]))
+    assert outcomes[0] == outcomes[1], line
+
+
+def test_incremental_pruning_changes_no_outcome_on_fixed_inputs(seed_lexicon,
+                                                                canto_verses):
+    for line in fixed_lines(canto_verses):
+        assert_pruning_changes_no_outcome(line, seed_lexicon)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(words=st.lists(st.sampled_from(VERSE_WORDS), min_size=1, max_size=12))
+def test_incremental_pruning_changes_no_outcome(seed_lexicon, words):
+    assert_pruning_changes_no_outcome(" ".join(words), seed_lexicon)
 
 
 # the scanner's work on fixed inputs: (nodes made, final states,
@@ -335,13 +420,8 @@ RANKING_SHA256 = "0310776f5eb5823317e8a5ed7ddac149b560e865800c9456c785b001f3acbb
 
 
 def test_ranking_on_fixed_inputs_is_pinned(seed_lexicon, canto_verses):
-    data = pathlib.Path(__file__).parent / "data"
-    anomalies = parse_corpus((data / "anomalies_fixture.txt").read_text("utf-8"))
-    lines = (canto_verses
-             + (data / "fork_storm_lines.txt").read_text("utf-8").splitlines()
-             + [verse.text for verse in anomalies])
     digest = hashlib.sha256()
-    for line in lines:
+    for line in fixed_lines(canto_verses):
         result = scan(line, seed_lexicon)
         for states in (result.admissible, result.final_states):
             for s in states:
@@ -411,6 +491,11 @@ def test_finalize_tie_break_prefers_fewer_syllables():
 
     result = finalize([state(11), state(10)], ScanConfig())
     assert result.chosen.count == 10
+    # likelihoods exactly tie_epsilon apart tie too
+    likelier = ScanState(likelihood=0.5, count=11, pending_p_r=P(0), a4=True,
+                         a10=True)
+    assert finalize([likelier, state(10)],
+                    ScanConfig(tie_epsilon=0.25)).chosen.count == 10
     # equal counts fall back to construction order: the order of the list
     a, b = state(11), state(11)
     assert finalize([a, b], ScanConfig()).chosen is a

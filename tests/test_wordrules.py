@@ -9,7 +9,7 @@ from endecascan.lexicon import (InputError, LexiconParseError,
                                 LexiconValidationError, Propensity,
                                 parse_lexicon, serialize_lexicon)
 from endecascan.scander import ScanStatus, scan_verse
-from endecascan.tokenizer import normalize_line, tokenize, word_tokens
+from endecascan.tokenizer import lex_key, normalize_line, tokenize, word_tokens
 from endecascan.wordrules import (RuleConfig, WordRuleError, build_analyses,
                                   build_draft_lexicon, default_config,
                                   init_propensities, load_nondet_table,
@@ -71,6 +71,48 @@ def test_split_no_vowel_fallback(cfg, capsys):
     assert split_syllables("pss", cfg) == ["pss"]
     assert capsys.readouterr().err == (
         "endecascan: no vowel in 'pss', treating as one syllable\n")
+
+
+def split_at_every_cut(form, cfg):
+    """split_syllables as it was first written: it tries every cut of a
+    consonant gap, so its time is quadratic in the gap."""
+    low = lex_key(form)
+    nuclei = wordrules._nuclei(low, low in cfg.hiatus_exception_words)
+    if not nuclei:
+        return [form]
+    boundaries = [0]
+    for (_, gap_start), (gap_end, _) in zip(nuclei, nuclei[1:]):
+        cut = gap_end
+        for candidate in range(gap_start, gap_end):
+            if wordrules._legal_onset(low[candidate:gap_end]):
+                cut = candidate
+                break
+        boundaries.append(cut)
+    boundaries.append(len(form))
+    return [form[a:b] for a, b in zip(boundaries, boundaries[1:])]
+
+
+# a form as vowel runs between consonant runs, some of them long.  A run
+# ends in a cluster near the longest legal onset (sstri, sgliu, ...), and
+# its other letters are those of the legal onsets, the glides, the
+# apostrophe and a few that open none
+vowel_run_st = st.text(alphabet="aeiouàèéìòùïëAEIOÈÉÒÙÏ", min_size=1, max_size=3)
+onset_st = st.tuples(
+    st.sampled_from(["", "s", "S"]), st.sampled_from(["", "s"]),
+    st.sampled_from(["", "t", "tr", "gl", "ch", "gn", "qu", "b", "’"]),
+    st.sampled_from(["", "i", "u"]), st.sampled_from(["", "i", "u"])).map("".join)
+consonant_run_st = st.tuples(st.text(alphabet="sbcglrqhiutpnmdvzSCGT’", max_size=40),
+                             onset_st).map("".join)
+form_st = st.tuples(consonant_run_st,
+                    st.lists(st.tuples(vowel_run_st, consonant_run_st),
+                             min_size=1, max_size=4)).map(
+    lambda t: t[0] + "".join(v + c for v, c in t[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(form=form_st)
+def test_split_tries_only_the_cuts_that_can_open_an_onset(cfg, form):
+    assert split_syllables(form, cfg) == split_at_every_cut(form, cfg)
 
 
 def test_concatenation_property(cfg, seed_lexicon):
