@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_VERSE_FAILURES = 1
 EXIT_FATAL = 2
 
+# bound once: corpus's tally reads them per verse
+_OK = ScanStatus.OK
+_WARN_NO_CAESURA = ScanStatus.WARN_NO_CAESURA
+_FAIL_UNKNOWN_WORD = ScanStatus.FAIL_UNKNOWN_WORD
+
 
 def _read_text(path: str) -> str:
     """A UTF-8 file's text; another file is an OSError that names it."""
@@ -82,27 +87,33 @@ def _cmd_scan(args) -> int:
 
 def _cmd_corpus(args) -> int:
     from . import corpus
-    statuses = dict.fromkeys(ScanStatus, 0)
+    ok = anomalies = failures = 0
     unknown: set[str] = set()
 
     def tally(records):
+        nonlocal ok, anomalies, failures
         for record in records:
-            statuses[record.scansion.status] += 1
-            if record.scansion.status is ScanStatus.FAIL_UNKNOWN_WORD:
-                unknown.add(record.scansion.unknown_key)
+            scansion = record.scansion
+            status = scansion.status
+            if status is _OK:
+                ok += 1
+            elif status is _WARN_NO_CAESURA:
+                anomalies += 1
+            else:
+                failures += 1
+                if status is _FAIL_UNKNOWN_WORD:
+                    unknown.add(scansion.unknown_key)
             yield record
 
     records = _scan_records(args)
     paths = corpus.write_outputs(tally(records), args.out, Path(args.infile).stem)
-    n = sum(statuses.values())
-    ok, anomalies = statuses[ScanStatus.OK], statuses[ScanStatus.WARN_NO_CAESURA]
-    print(f"scanned {n} verses: {ok} ok, "
-          f"{anomalies} anomalies, {n - ok - anomalies} failures")
+    print(f"scanned {ok + anomalies + failures} verses: {ok} ok, "
+          f"{anomalies} anomalies, {failures} failures")
     for kind, path in paths.items():
         print(f"  {kind}: {path}")
     if unknown:
         print(f"unknown words: {', '.join(sorted(unknown))}", file=sys.stderr)
-    return EXIT_VERSE_FAILURES if n > ok + anomalies else EXIT_OK
+    return EXIT_VERSE_FAILURES if failures else EXIT_OK
 
 
 def _cmd_lex_build(args) -> int:

@@ -71,6 +71,12 @@ class Verse(NamedTuple):
     text: str
 
 
+# builds a Verse from its four fields without the NamedTuple's Python
+# __new__, which only packs its arguments into this same tuple
+_new_verse = tuple.__new__
+_WARN_NO_CAESURA = ScanStatus.WARN_NO_CAESURA  # bound once, read per verse
+
+
 class Amendment(Value):
     """One editorial amendment: in the verse at cantica, canto, line,
     original becomes replacement.  A value; never assign to one."""
@@ -145,10 +151,13 @@ def parse_corpus(text: str) -> tuple[Verse, ...]:
         stripped = raw.strip()
         if stripped and verses is not None:  # lines before the first header are preamble
             line += 1
-            verses.append(Verse(cantica, canto, line, stripped))
+            verses.append(_new_verse(Verse, (cantica, canto, line, stripped)))
     if verses is None:
         raise CorpusFormatError("no canto header found")
-    return tuple(v for group in cantiche.values() for v in group)
+    flat: list[Verse] = []
+    for group in cantiche.values():
+        flat += group
+    return tuple(flat)
 
 
 def apply_amendments(doc: tuple[Verse, ...], amendments: list[Amendment],
@@ -267,17 +276,17 @@ def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
             open(anom_path, "w", encoding="utf-8") as anom:
         tsv.write("cantica\tcanto\tline\tcount\tlikelihood\ta4\ta6\ta10\t"
                   "status\tadmissible\n")
-        previous = None
+        previous_cantica = previous_canto = None
         gap = ""  # blank lines due before the next line, so none ends the file
         for record in records:
             cantica, canto, line = record.location
             scansion = record.scansion
-            if previous != (cantica, canto):
-                if previous is not None:
+            if canto != previous_canto or cantica != previous_cantica:
+                if previous_canto is not None:
                     gap += "\n"
                 syl.write(f"{gap}{cantica}: Canto {int_to_roman(canto)}\n")
                 gap = "\n"
-                previous = (cantica, canto)
+                previous_cantica, previous_canto = cantica, canto
             syl.write(f"{gap}{render_scansion(scansion, record.tokens)}\n")
             gap = "\n" if line % 3 == 0 else ""
             chosen = scansion.chosen
@@ -290,8 +299,8 @@ def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
                           f"{'1' if chosen.a10 else '0'}")
             tsv.write(f"{cantica}\t{canto}\t{line}\t{scores}\t"
                       f"{scansion.status.value}\t{len(scansion.admissible)}\n")
-            if scansion.status is ScanStatus.WARN_NO_CAESURA:
+            if scansion.status is _WARN_NO_CAESURA:
                 anom.write(f"{cantica} {int_to_roman(canto)},{line}\t{record.text}\n")
-        if previous is None:
+        if previous_canto is None:
             syl.write("\n")
     return {"syllabified": syl_path, "report": tsv_path, "anomalies": anom_path}

@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .lexicon import (APOSTROPHE_VALUE, PROB_ZERO, Lexicon, Propensity,
                       Value, WordAnalysis)
-from .tokenizer import Token, word_tokens
+from .tokenizer import Token, TokenKind
 
 TENTH = 10
 
@@ -102,7 +102,8 @@ class ScanState(Value):
     """One partial (or final) reading of a verse.
 
     The slots hold what the search and the ranking read.  A state built
-    by the constructor is a root: the start of a verse, with no words.  A
+    by the constructor is the empty root: the start of a verse, with no
+    words, likelihood 1 and a p_r of 0, so the first word never melds.  A
     state built by `advance` is a chain node: it points to the state it
     extends (`_parent`), to the analysis and the word that extended it and
     to whether that word melded.  `text`, `melds`, `accents` and
@@ -117,15 +118,11 @@ class ScanState(Value):
                  "_parent", "_analysis", "_word", "_melded",
                  "_text")  # None on a chain node until its text is read
 
-    def __init__(self, likelihood: float = 1.0, count: int = 0,
-                 pending_p_r: Propensity = PROB_ZERO, a4: bool = False,
-                 a6: bool = False, a10: bool = False):
-        self.likelihood = likelihood
-        self.count = count
-        self.pending_p_r = pending_p_r
-        self.a4 = a4
-        self.a6 = a6
-        self.a10 = a10
+    def __init__(self):
+        self.likelihood = 1.0
+        self.count = 0
+        self.pending_p_r = PROB_ZERO
+        self.a4 = self.a6 = self.a10 = False
         self._parent = None
         self._text = ""
 
@@ -195,14 +192,16 @@ class ScanState(Value):
         node = self
         while node._parent is not None:
             if node._word[2]:
-                offsets = node._analysis.accents
-                for o in offsets if include_secondary else offsets[:1]:
-                    # node.count + o is in 1..self.count on a chain from
-                    # scan_verse's empty root: an accent lands past the
-                    # count before its word, less one if the word melds,
-                    # and the root's p_r of 0 keeps the first word from
-                    # melding; counts never fall along a chain
-                    stressed[node.count + o - 1] = True
+                # node.count + o is in 1..self.count on a chain from the
+                # empty root: an accent lands past the count before its
+                # word, less one if the word melds, and the root's p_r of
+                # 0 keeps the first word from melding; counts never fall
+                # along a chain
+                if include_secondary:
+                    for o in node._analysis.accents:
+                        stressed[node.count + o - 1] = True
+                else:
+                    stressed[node.count + node._analysis.accents[0] - 1] = True
             node = node._parent
         return tuple(stressed)
 
@@ -217,6 +216,13 @@ class ScanStatus(Enum):
     @property
     def is_admissible(self) -> bool:
         return self in (ScanStatus.OK, ScanStatus.WARN_NO_CAESURA)
+
+
+# bound once: a member read through the Enum class is a slow lookup
+_OK = ScanStatus.OK
+_WARN_NO_CAESURA = ScanStatus.WARN_NO_CAESURA
+_FAIL_NO_ACCENT10 = ScanStatus.FAIL_NO_ACCENT10
+_PUNCT = TokenKind.PUNCT
 
 
 class VerseScansion(Value):
@@ -336,15 +342,15 @@ def finalize(states: list[ScanState], cfg: ScanConfig) -> VerseScansion:
                       s._parent is None or not s._parent.a10)))]
     if not admissible:
         best = max(states, key=lambda s: s.likelihood, default=None)
-        return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, final,
+        return VerseScansion(None, (), _FAIL_NO_ACCENT10, final,
                              best_rejected=best)
-    status = ScanStatus.OK
+    status = _OK
     if cfg.prefer_a4_or_a6:
         caesura = [s for s in admissible if s.a4 or s.a6]
         if caesura:
             admissible = caesura
         else:
-            status = ScanStatus.WARN_NO_CAESURA
+            status = _WARN_NO_CAESURA
     if len(admissible) > 1:
         admissible = _rank(admissible, cfg.tie_epsilon)
     return VerseScansion(admissible[0], tuple(admissible), status, final)
@@ -374,12 +380,12 @@ def scan_verse(tokens: Iterable[Token], lex: Lexicon,
     """Scan one tokenized verse against a lexicon; an analysis that does
     not spell its word fails the verse, as FAIL_BAD_ANALYSIS."""
     cfg = cfg or ScanConfig()
-    words = word_tokens(tokens)
-    if not words:
-        return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
     entries, ineligible = lex.entries, lex.stress_ineligible
     states = [_ROOT]
-    for index, token in enumerate(words):
+    index = 0  # of the word among the words, not among the tokens
+    for token in tokens:
+        if token.kind is _PUNCT:
+            continue
         key = token.key
         analyses = entries.get(key)
         if analyses is None:
@@ -391,5 +397,8 @@ def scan_verse(tokens: Iterable[Token], lex: Lexicon,
         except BadAnalysisError:
             return VerseScansion(None, (), ScanStatus.FAIL_BAD_ANALYSIS, ())
         if not states:
-            return VerseScansion(None, (), ScanStatus.FAIL_NO_ACCENT10, ())
+            return VerseScansion(None, (), _FAIL_NO_ACCENT10, ())
+        index += 1
+    if not index:  # no word at all
+        return VerseScansion(None, (), _FAIL_NO_ACCENT10, ())
     return finalize(states, cfg)

@@ -10,15 +10,19 @@ the stream still rebuilds the line.
 
 The words of a poem repeat (nearly half the pieces of one canto repeat
 an earlier piece of it), and tokens are values, so a word token that no
-standalone mark changes is shared: a bounded module table maps
-`(piece, space_before)` to it, a repeated piece costs one lookup, and
-verses hold the same token objects.  `_word_token` alone makes word
-tokens, with the `Token` constructor: for a table miss and for the words
-of a line with a standalone mark, which no workload line has.  A second
-table, bounded the same way, holds each whitespace piece with an
-apostrophe after its elision split.  Splitting piece by piece gives the
-line's own split, because an elision run is made of letters and
-apostrophes only and so never crosses whitespace.
+standalone mark changes is shared.  Two bounded module tables map a
+piece, the string itself, to its token: `_FIRST_WORDS` for a line's
+first word (`space_before` false) and `_LATER_WORDS` for the words after
+it.  A repeated piece costs one lookup, and verses hold the same token
+objects.  Both tables full of 32-character pieces in 4-byte characters
+hold 8.3 MB (tracemalloc); Inferno I leaves 83 and 488 tokens in them,
+0.14 MB.  `_word_token` alone makes word tokens, with the `Token`
+constructor: for a table miss and for the words of a line with a
+standalone mark, which no workload line has.  A third table, `_ELIDED`,
+bounded the same way, holds each whitespace piece with an apostrophe
+after its elision split.  Splitting piece by piece gives the line's own
+split, because an elision run is made of letters and apostrophes only
+and so never crosses whitespace.
 
 Apostrophes are the delicate part.  The canonical apostrophe is U+2019.
 An apostrophe glued between two letters marks an elision boundary
@@ -54,26 +58,26 @@ _SPLIT_RE = re.compile(r"(?<=[^\W\d_])’(?=[^\W\d_])", re.UNICODE)
 _ELISION_RUN_RE = re.compile(r"(?<![^\W\d_])[^\W\d_’]+(?:’[^\W\d_]+)+’?",
                              re.UNICODE)
 
-# the two shared tables, both kept by _share: cleared when full, and a
+# the three shared tables, each kept by _share: cleared when full, and a
 # piece longer than _SHARED_PIECE_MAX built every time.  A word-token
-# entry (key tuple, token, and its piece, word, key, lead and trail
-# strings) holds under 1 KB even in 4-byte characters: tracemalloc
-# measured 6.3 MB for a full table of 32-character pieces of them,
-# 0.16 MB for Inferno I's 574.  An elision entry is two short strings.
+# entry (token, and its piece, word, key, lead and trail strings) holds
+# about 0.5 KB in 4-byte characters (the module docstring gives the
+# totals); an elision entry is two short strings.
 _SHARED_TOKENS_MAX = 8192
 _SHARED_PIECE_MAX = 32
-# word tokens keyed by (piece, space_before); only tokens that no
-# standalone mark changes
-_WORD_TOKENS: dict[tuple[str, bool], Token] = {}
+# word tokens keyed by their piece: the first word of a line, and the
+# words after it; only tokens that no standalone mark changes
+_FIRST_WORDS: dict[str, Token] = {}
+_LATER_WORDS: dict[str, Token] = {}
 # each piece that holds an apostrophe, after its elision split
 _ELIDED: dict[str, str] = {}
 
 
-def _share(table: dict, key, value, piece: str) -> None:
+def _share(table: dict, piece: str, value) -> None:
     if len(piece) <= _SHARED_PIECE_MAX:
         if len(table) >= _SHARED_TOKENS_MAX:
             table.clear()
-        table[key] = value
+        table[piece] = value
 
 
 class TokenKind(Enum):
@@ -131,7 +135,7 @@ def normalize_line(line: str) -> str:
                 split = _ELIDED.get(piece)
                 if split is None:
                     split = _ELISION_RUN_RE.sub(_split_elisions, piece)
-                    _share(_ELIDED, piece, split, piece)
+                    _share(_ELIDED, piece, split)
                 pieces[i] = split
     return " ".join(pieces)
 
@@ -204,19 +208,18 @@ def tokenize(line: str) -> list[Token]:
     left), so renderers only ever need the word tokens.
     """
     tokens: list[Token] = []
-    shared = _WORD_TOKENS.get
-    space_before = False
+    table = _FIRST_WORDS
     for piece in line.split(" "):
         if not piece:
             continue
-        token = shared((piece, space_before))
+        token = table.get(piece)
         if token is None:
-            token = _word_token(piece, space_before)
+            token = _word_token(piece, table is not _FIRST_WORDS)
             if token is None:  # a standalone mark: its neighbours change
                 return _tokenize_marks(line)
-            _share(_WORD_TOKENS, (piece, space_before), token, piece)
+            _share(table, piece, token)
         tokens.append(token)
-        space_before = True
+        table = _LATER_WORDS
     return tokens
 
 

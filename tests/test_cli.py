@@ -89,6 +89,29 @@ def test_corpus_subcommand(capsys, tmp_path):
         "inferno_i.anomalies.txt", "inferno_i.report.tsv", "inferno_i.syl.txt"]
 
 
+def test_corpus_tallies_each_status(capsys, tmp_path):
+    # an ok verse, Inferno X,1 of the anomalies fixture, a verse with no
+    # stress on the tenth syllable and two with unknown words, the later
+    # one first in the alphabet
+    src = tmp_path / "tally.txt"
+    src.write_text("Inferno: Canto I\n\n"
+                   "Nel mezzo del cammin di nostra vita\n"
+                   "mi pinser tra le sepulture a lui,\n"
+                   "selva oscura\n\n"
+                   "la zebra e la selva\n"
+                   "e asino,\n", "utf-8")
+    code, out, err = run(capsys, "corpus", "--lexicon", SEED, "--in", str(src),
+                         "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out.splitlines()[0] == \
+        "scanned 5 verses: 1 ok, 1 anomalies, 3 failures"
+    assert err == "unknown words: asino, zebra\n"
+    rows = (tmp_path / "out" / "tally.report.tsv").read_text("utf-8")
+    assert [row.split("\t")[8] for row in rows.splitlines()[1:]] == [
+        "ok", "warn-no-caesura", "fail-no-accent10", "fail-unknown-word",
+        "fail-unknown-word"]
+
+
 def test_lex_check(capsys, tmp_path):
     code, out, _ = run(capsys, "lex", "check", SEED)
     assert code == 0

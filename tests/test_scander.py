@@ -485,15 +485,22 @@ def test_finalize_empty_reports_failure():
 
 
 def test_finalize_tie_break_prefers_fewer_syllables():
-    def state(count):
-        return ScanState(likelihood=0.25, count=count, pending_p_r=P(0),
-                         a4=True, a10=True)
+    def state(count, likelihood=0.25):
+        # a one-word reading: a word of `count` syllables, stressed on the
+        # fourth and tenth, whose only analysis weighs `likelihood`
+        analysis = WordAnalysis(["la"] * count, (10 - count, 4 - count),
+                                P(0), P(0), likelihood)
+        (node,) = advance([ScanState()], word_token("la" * count),
+                          (analysis,), 0, True, ScanConfig())
+        assert (node.likelihood, node.count, node.pending_p_r, node.a4,
+                node.a6, node.a10) == (likelihood, count, P(0), True, False,
+                                       True)
+        return node
 
     result = finalize([state(11), state(10)], ScanConfig())
     assert result.chosen.count == 10
     # likelihoods exactly tie_epsilon apart tie too
-    likelier = ScanState(likelihood=0.5, count=11, pending_p_r=P(0), a4=True,
-                         a10=True)
+    likelier = state(11, likelihood=0.5)
     assert finalize([likelier, state(10)],
                     ScanConfig(tie_epsilon=0.25)).chosen.count == 10
     # equal counts fall back to construction order: the order of the list
@@ -580,6 +587,27 @@ def test_scan_verse_no_accent_on_tenth(seed_lexicon):
 def test_scan_verse_empty():
     lex = build_lexicon({"a": [WordAnalysis(("a",), (0,), P(0.9), P(0.2))]})
     assert scan_verse([], lex).status is ScanStatus.FAIL_NO_ACCENT10
+    # a stream of marks alone has no word either, so no state at all
+    marks = tokenize("« , »")
+    assert [t.kind for t in marks] == [TokenKind.PUNCT] * 3
+    result = scan_verse(marks, lex)
+    assert (result.status, result.final_states, result.admissible) == (
+        ScanStatus.FAIL_NO_ACCENT10, (), ())
+
+
+def test_accent_word_index_counts_words_only(seed_lexicon):
+    # standalone marks before and between the words are tokens, not words
+    marked = tokenize(normalize_line("« Nel mezzo , del cammin di nostra vita »"))
+    assert [t.kind for t in marked[:3]] == [TokenKind.PUNCT, TokenKind.WORD,
+                                            TokenKind.WORD]
+    assert marked[3].kind is TokenKind.PUNCT
+    plain = scan("Nel mezzo del cammin di nostra vita", seed_lexicon)
+    result = scan_verse(marked, seed_lexicon)
+    for state in result.final_states:
+        accents = state.accents
+        assert {m.word_index for m in accents} == set(range(7))
+        assert accents in [s.accents for s in plain.final_states]
+    assert result.chosen.accents == plain.chosen.accents
 
 
 def test_override_changes_syllable_count(seed_lexicon):

@@ -217,16 +217,19 @@ def test_a_numeric_mark_after_a_word_is_its_trail():
 
 
 @pytest.fixture
-def empty_table(monkeypatch):
-    table = {}
-    monkeypatch.setattr(tokenizer, "_WORD_TOKENS", table)
-    return table
+def empty_tables(monkeypatch):
+    """The two word-token tables, emptied: a line's first word, and the
+    words after it."""
+    tables = {}, {}
+    monkeypatch.setattr(tokenizer, "_FIRST_WORDS", tables[0])
+    monkeypatch.setattr(tokenizer, "_LATER_WORDS", tables[1])
+    return tables
 
 
 @pytest.mark.parametrize("lines", [("vita nostra", "nostra vita"),
                                    ("nostra vita", "vita nostra")],
                          ids=["first-then-later", "later-then-first"])
-def test_a_shared_word_keeps_its_space_before(empty_table, lines):
+def test_a_shared_word_keeps_its_space_before(empty_tables, lines):
     for line in lines:
         assert [(t.surface, t.space_before) for t in tokenize(line)] == \
             [(piece, i > 0) for i, piece in enumerate(line.split())]
@@ -234,24 +237,30 @@ def test_a_shared_word_keeps_its_space_before(empty_table, lines):
     assert all(a is b for a, b in zip(tokenize(lines[1]), tokenize(lines[1])))
 
 
-def test_a_mark_changes_only_its_own_line(empty_table):
+def test_a_mark_changes_only_its_own_line(empty_tables):
     assert [t.trail for t in word_tokens(tokenize("vita ,"))] == [","]
     assert [t.trail for t in tokenize("vita")] == [""]
     assert [t.trail for t in word_tokens(tokenize("vita ,"))] == [","]
 
 
-def test_the_shared_table_is_bounded(empty_table):
+def test_the_shared_table_is_bounded(empty_tables):
     bound = tokenizer._SHARED_TOKENS_MAX
     letters = "abcdefghilmnopqrstuvz"
     pieces = ["".join(letters[i // len(letters) ** k % len(letters)]
                       for k in range(4)) for i in range(bound + 100)]
     assert len(set(pieces)) == len(pieces)
+    # every piece once as a line's first word and once after it
     for start in range(0, len(pieces), 100):
-        tokenize(" ".join(pieces[start:start + 100]))
-    assert 0 < len(empty_table) <= bound
+        tokenize("vita " + " ".join(pieces[start:start + 100]))
+    for piece in pieces:
+        tokenize(piece)
+    first, later = empty_tables
+    assert 0 < len(first) <= bound
+    assert 0 < len(later) <= bound
     long_piece = "a" * (tokenizer._SHARED_PIECE_MAX + 1)
     assert tokenize(long_piece)[0].word == long_piece
-    assert (long_piece, False) not in empty_table
+    assert tokenize("vita " + long_piece)[1].word == long_piece
+    assert long_piece not in first and long_piece not in later
 
 
 def test_the_elision_table_is_bounded(monkeypatch):
