@@ -102,6 +102,11 @@ class VerseRecord(Value):
         self.scansion = scansion
 
 
+# allocates a record without running __init__: scan_records sets all
+# four slots
+_new_record = object.__new__
+
+
 class ScanReport(Value):
     """The records of a whole document, in order; a value, never
     assigned to."""
@@ -238,8 +243,12 @@ def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
                     break
             else:
                 continue
-        yield VerseRecord(verse[:3], normalized, tokens,
-                          scan_verse(tokens, lex, cfg))
+        record = _new_record(VerseRecord)
+        record.location = verse[:3]
+        record.text = normalized
+        record.tokens = tokens
+        record.scansion = scan_verse(tokens, lex, cfg)
+        yield record
 
 
 def scan_document(doc: tuple[Verse, ...], lex: Lexicon,
@@ -297,8 +306,9 @@ def write_outputs(records: Iterable[VerseRecord], sink: str | Path,
                           f"{'1' if chosen.a4 else '0'}\t"
                           f"{'1' if chosen.a6 else '0'}\t"
                           f"{'1' if chosen.a10 else '0'}")
+            # a member's plain _value_ attribute: `value` is a property
             tsv.write(f"{cantica}\t{canto}\t{line}\t{scores}\t"
-                      f"{scansion.status.value}\t{len(scansion.admissible)}\n")
+                      f"{scansion.status._value_}\t{len(scansion.admissible)}\n")
             if scansion.status is _WARN_NO_CAESURA:
                 anom.write(f"{cantica} {int_to_roman(canto)},{line}\t{record.text}\n")
         if previous_canto is None:

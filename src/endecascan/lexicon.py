@@ -152,7 +152,8 @@ class WordAnalysis(Value):
         self.syllables = syllables = tuple(syllables)
         self.accents = accents = tuple(accents)
         self.p_l, self.p_r, self.weight = p_l, p_r, weight
-        if not syllables or any(not s for s in syllables):
+        # syllables are strings, so "" is the only false one
+        if not syllables or "" in syllables:
             raise LexiconValidationError("syllables must be nonempty")
         if not accents:
             raise LexiconValidationError("at least the primary accent is required")
@@ -165,7 +166,8 @@ class WordAnalysis(Value):
             if not -(n - 1) <= o <= 0:
                 raise LexiconValidationError(
                     f"accent offset {o} outside [{-(n - 1)}, 0] for {self.form!r}")
-        if len(set(accents)) != len(accents):
+        # one offset, the common case, cannot repeat
+        if len(accents) > 1 and len(set(accents)) != len(accents):
             raise LexiconValidationError(f"duplicate accent offsets for {self.form!r}")
         if not 0.0 < weight <= 1.0:
             raise LexiconValidationError(f"weight must be in (0, 1]: {weight!r}")
@@ -179,7 +181,10 @@ def _check_weights(key: str, analyses: Iterable[WordAnalysis]) -> tuple[WordAnal
     analyses = tuple(analyses)
     if not analyses:
         raise LexiconValidationError(f"no analyses for {key!r}")
-    total = sum(a.weight for a in analyses)
+    if len(analyses) == 1:  # the common case: one analysis is its own sum
+        total = analyses[0].weight
+    else:
+        total = sum(a.weight for a in analyses)
     if abs(total - 1.0) > WEIGHT_TOLERANCE:
         raise LexiconValidationError(f"weights for {key!r} sum to {total!r}, not 1")
     return analyses
@@ -241,8 +246,11 @@ def parse_lexicon(text: str) -> Lexicon:
     """Parse the TAB-separated dictionary format described above."""
     entries: dict[str, list[WordAnalysis]] = {}
     ineligible: list[str] = []
-    # a lexicon holds few distinct propensity texts: parse each one once
+    # a lexicon holds few distinct propensity, weight and accent-list
+    # texts: parse each one once; every row still checks its own values
     propensities: dict[str, Propensity] = {}
+    weights: dict[str, float] = {"": 1.0, "-": 1.0}
+    accent_lists: dict[str, tuple[int, ...]] = {}
     for line_no, line in data_lines(text):
         fields = line.split("\t")
         if fields[0] == "@stress-ineligible":
@@ -255,24 +263,29 @@ def parse_lexicon(text: str) -> Lexicon:
             raise LexiconParseError("empty key", line_no)
         if key != key.lower():
             raise LexiconParseError(f"key {key!r} is not case-folded", line_no)
-        try:
-            weight = 1.0 if weight_s in ("", "-") else float(weight_s)
-        except ValueError:
-            raise LexiconParseError(f"bad weight {weight_s!r}", line_no) from None
+        weight = weights.get(weight_s)
+        if weight is None:
+            try:
+                weight = weights[weight_s] = float(weight_s)
+            except ValueError:
+                raise LexiconParseError(f"bad weight {weight_s!r}", line_no) from None
         for p_s in (p_l_s, p_r_s):
             if p_s not in propensities:
                 propensities[p_s] = _parse_propensity(p_s, line_no)
         p_l, p_r = propensities[p_l_s], propensities[p_r_s]
-        syllables = tuple(sylls_s.split("|"))
-        if "".join(syllables) != key:
+        if sylls_s.replace("|", "") != key:
             raise LexiconParseError(
                 f"syllables {sylls_s!r} do not spell key {key!r}", line_no)
+        accents = accent_lists.get(accents_s)
+        if accents is None:
+            try:
+                accents = tuple(int(a) for a in accents_s.split(","))
+            except ValueError:
+                raise LexiconParseError(f"bad accent list {accents_s!r}",
+                                        line_no) from None
+            accent_lists[accents_s] = accents
         try:
-            accents = tuple(int(a) for a in accents_s.split(","))
-        except ValueError:
-            raise LexiconParseError(f"bad accent list {accents_s!r}", line_no) from None
-        try:
-            analysis = WordAnalysis(syllables, accents, p_l, p_r, weight)
+            analysis = WordAnalysis(sylls_s.split("|"), accents, p_l, p_r, weight)
         except LexiconValidationError as exc:
             raise LexiconParseError(str(exc), line_no) from None
         entries.setdefault(key, []).append(analysis)

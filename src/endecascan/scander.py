@@ -241,6 +241,11 @@ class VerseScansion(Value):
         self.best_rejected = best_rejected
 
 
+# allocates a scansion without running __init__: finalize sets all six
+# slots of the common result, an admissible verse's
+_new_scansion = object.__new__
+
+
 def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
     """Probability that two adjacent word boundaries meld.
 
@@ -248,7 +253,7 @@ def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
     one at all; a flat zero on the other side (consonant contact) still
     blocks it.  Otherwise the probability is the plain product.
     """
-    if p_r.is_apostrophe or p_l.is_apostrophe:
+    if p_r.value == APOSTROPHE_VALUE or p_l.value == APOSTROPHE_VALUE:
         return 0.0 if 0.0 in (p_r.value, p_l.value) else 1.0
     return p_r.value * p_l.value
 
@@ -331,29 +336,41 @@ def advance(states: list[ScanState], token: Token,
 
 def finalize(states: list[ScanState], cfg: ScanConfig) -> VerseScansion:
     """Filter final states by the metric constraints and pick a winner."""
-    final = tuple(states)
     require_a10, budget = cfg.require_a10, cfg.max_total_syllables
-    # a10 when required, and at most the budget of syllables unless the
-    # tenth-syllable stress is in the last word (versi sdruccioli): a10 only
-    # ever turns on, so it is there when the parent (if any) lacks it
-    admissible = [s for s in states
-                  if (s.a10 or not require_a10)
-                  and (s.count <= budget or (s.a10 and (
-                      s._parent is None or not s._parent.a10)))]
+    # one pass keeps the admissible states and, among them, those with a
+    # caesura: a10 when required, and at most the budget of syllables
+    # unless the tenth-syllable stress is in the last word (versi
+    # sdruccioli).  a10 only ever turns on, so it is there when the parent
+    # lacks it; the root's a10 is False, so a state with a10 was made by
+    # advance and has a parent
+    admissible, caesura = [], []
+    for s in states:
+        a10 = s.a10
+        if ((a10 or not require_a10)
+                and (s.count <= budget or (a10 and not s._parent.a10))):
+            admissible.append(s)
+            if s.a4 or s.a6:
+                caesura.append(s)
     if not admissible:
         best = max(states, key=lambda s: s.likelihood, default=None)
-        return VerseScansion(None, (), _FAIL_NO_ACCENT10, final,
+        return VerseScansion(None, (), _FAIL_NO_ACCENT10, tuple(states),
                              best_rejected=best)
     status = _OK
     if cfg.prefer_a4_or_a6:
-        caesura = [s for s in admissible if s.a4 or s.a6]
         if caesura:
             admissible = caesura
         else:
             status = _WARN_NO_CAESURA
     if len(admissible) > 1:
         admissible = _rank(admissible, cfg.tie_epsilon)
-    return VerseScansion(admissible[0], tuple(admissible), status, final)
+    result = _new_scansion(VerseScansion)
+    result.chosen = admissible[0]
+    result.admissible = tuple(admissible)
+    result.status = status
+    result.final_states = tuple(states)
+    result.unknown_key = None
+    result.best_rejected = None
+    return result
 
 
 def _rank(states: list[ScanState], eps: float) -> list[ScanState]:

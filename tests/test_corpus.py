@@ -9,12 +9,14 @@ from endecascan import corpus
 from endecascan.analysis import classify_word, pattern_histogram
 from endecascan.cli import main
 from endecascan.corpus import (Amendment, AmendmentMismatch, CorpusFormatError,
-                               Verse, apply_amendments, int_to_roman, parse_amendments,
-                               parse_corpus, render_scansion, roman_to_int,
-                               scan_document, scan_records, write_outputs)
+                               Verse, VerseRecord, apply_amendments, int_to_roman,
+                               parse_amendments, parse_corpus, render_scansion,
+                               roman_to_int, scan_document, scan_records,
+                               write_outputs)
 from endecascan.lexicon import build_lexicon
-from endecascan.scander import ScanConfig, ScanStatus, scan_verse
+from endecascan.scander import ScanConfig, ScanState, ScanStatus, scan_verse
 from endecascan.tokenizer import normalize_line, tokenize, word_tokens
+from test_scander import fixed_lines
 
 DATA = pathlib.Path(__file__).parent / "data"
 BUNDLED_AMENDMENTS = (pathlib.Path(__file__).parents[1] / "src" / "endecascan"
@@ -340,6 +342,27 @@ def test_batch_memory_does_not_grow_with_the_corpus(tmp_path, capsys,
     added = 9 * 136
     for command, small, large in zip(("corpus", "query", "stats"), one, ten):
         assert (large - small) / added < 1024, (command, small, large)
+
+
+def test_scan_records_builds_the_records_the_constructor_builds(
+        monkeypatch, seed_lexicon, canto_verses):
+    # scan_records builds each record without __init__; it must hold what
+    # the constructor gives.  A state's repr reads its whole chain, so a
+    # state stands in its repr by its identity
+    monkeypatch.setattr(ScanState, "__repr__", lambda s: f"<state {id(s)}>")
+    lines = fixed_lines(canto_verses)
+    doc = tuple(Verse("Inferno", 1, n, line) for n, line in enumerate(lines, 1))
+    records = list(scan_records(doc, seed_lexicon))
+    assert len(records) == len(doc)
+    for record, verse in zip(records, doc):
+        text = normalize_line(verse.text)
+        tokens = tuple(tokenize(text))
+        built = VerseRecord(verse[:3], text, tokens, record.scansion)
+        assert record == built and repr(record) == repr(built), verse
+        # the scansion is the verse's: its status and its chosen reading
+        fresh = scan_verse(tokens, seed_lexicon)
+        assert record.scansion.status is fresh.status, verse
+        assert record.scansion.chosen == fresh.chosen, verse
 
 
 def test_write_outputs_empty_report(tmp_path, seed_lexicon):

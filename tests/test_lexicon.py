@@ -142,6 +142,26 @@ def test_parse_weight_sum_must_be_one():
         parse_lexicon(text)
 
 
+# parse_lexicon parses each distinct weight and accent-list text once; the
+# checks that depend on a row (the offsets' range against its syllables,
+# duplicate offsets) and on a key (the weight sum) still run on every one
+def test_parsing_a_field_text_once_still_checks_every_row():
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 2: accent offset -1 outside \[0, 0\] for 'e'$"):
+        parse_lexicon("selva\t1\t0\t1\tsel|va\t-1\ne\t1\t0\t1\te\t-1\n")
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 2: duplicate accent offsets for 'selva'$"):
+        parse_lexicon("e\t1\t0\t1\te\t0\nselva\t1\t0\t1\tsel|va\t0,0\n")
+    with pytest.raises(LexiconValidationError,
+                       match=r"^invalid lexicon: weights for 'x' sum to 0.5, not 1$"):
+        parse_lexicon("x\t0.5\t0\t1\tx\t0\ny\t0.5\t0\t1\ty\t0\n")
+    lex = parse_lexicon("x\t0.5\t0\t1\tx\t0\nx\t0.5\t0\t1\tx\t0\n"
+                        "y\t-\t0\t1\ty\t0\nz\t\t0\t1\tz\t0\n")
+    # an empty weight and `-` both read as 1
+    assert [a.weight for key in "xyz" for a in lex.lookup(key)] == \
+        [0.5, 0.5, 1.0, 1.0]
+
+
 def test_serialize_round_trip_with_apostrophe_sentinel():
     text = ("@stress-ineligible\te\til\n"
             "vid’\t1\t0\tA\tvi|d’\t-1\n"

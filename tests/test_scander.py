@@ -478,6 +478,25 @@ def test_advance_conserves_likelihood_and_grows_counts(seed_lexicon, canto_verse
             assert all(s.count > previous_min or smallest == 1 for s in states)
 
 
+def test_finalize_builds_the_result_its_constructor_builds(
+        monkeypatch, seed_lexicon, canto_verses):
+    # finalize builds an admissible verse's result without __init__; it
+    # must hold what the constructor gives, defaults included.  Both sides
+    # hold the same states, and a state's repr reads its whole chain, so a
+    # state stands in its repr by its identity
+    monkeypatch.setattr(ScanState, "__repr__", lambda s: f"<state {id(s)}>")
+    admissible = 0
+    for line in fixed_lines(canto_verses):
+        result = scan(line, seed_lexicon)
+        if not result.status.is_admissible:
+            continue
+        admissible += 1
+        built = VerseScansion(result.chosen, result.admissible, result.status,
+                              result.final_states)
+        assert result == built and repr(result) == repr(built), line
+    assert admissible > 200
+
+
 def test_finalize_empty_reports_failure():
     out = finalize([], ScanConfig())
     assert out.status is ScanStatus.FAIL_NO_ACCENT10
