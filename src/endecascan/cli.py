@@ -14,10 +14,10 @@ default dictionary.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # corpus, analysis and wordrules are imported inside the commands that use
 # them, so that `scan` and `lex check` start without them
@@ -181,57 +181,123 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's arguments, stated once: `build_parser` builds argparse's
+# parser of them, and `_read_argv` reads without argparse an argv that
+# spells them as documented.  A command maps to (help, the defaults it sets,
+# its arguments) or, for `lex`, (help, {}, its subcommands); an argument is
+# (name, kind, help), and `--in` is stored as `infile`.
+POSITIONAL, VALUE, REQUIRED, FLAG = "positional", "value", "required", "flag"
+COMMANDS = {
+    "scan": ("scan one verse", {"func": _cmd_scan}, [
+        ("verse", POSITIONAL, None),
+        ("--lexicon", VALUE, None),
+        ("--verbose", FLAG, "dump every final state with full precision")]),
+    "corpus": ("scan a corpus file", {"func": _cmd_corpus}, [
+        ("--in", REQUIRED, None),
+        ("--out", REQUIRED, None),
+        ("--lexicon", VALUE, None),
+        ("--amendments", VALUE, None)]),
+    "lex": ("lexicon tools", {}, {
+        "build": ("draft entries from rules", {"func": _cmd_lex_build}, [
+            ("--words", REQUIRED, None),
+            ("--rules", VALUE, None),
+            ("--all-variants", FLAG, "include opt-in nondeterministic variants")]),
+        "check": ("validate a lexicon file", {"func": _cmd_lex_check}, [
+            ("file", POSITIONAL, None)])}),
+    "query": ("synalephe/dialephe occurrences of a word",
+              {"func": _cmd_query, "amendments": None}, [
+        ("--word", REQUIRED, None),
+        ("--in", REQUIRED, None),
+        ("--lexicon", VALUE, None)]),
+    "stats": ("accent-pattern histogram",
+              {"func": _cmd_stats, "amendments": None}, [
+        ("--in", REQUIRED, None),
+        ("--lexicon", VALUE, None),
+        ("--secondary", FLAG, None)]),
+}
+
+
+def _dest(option: str) -> str:
+    return "infile" if option == "--in" else option[2:].replace("-", "_")
+
+
+def build_parser():
+    """argparse's parser of COMMANDS; it prints every help, usage and error."""
+    import argparse
     parser = argparse.ArgumentParser(prog="endecascan",
                                      description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scan", help="scan one verse")
-    p.add_argument("verse")
-    p.add_argument("--lexicon")
-    p.add_argument("--verbose", action="store_true",
-                   help="dump every final state with full precision")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("corpus", help="scan a corpus file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--amendments")
-    p.set_defaults(func=_cmd_corpus)
-
-    p = sub.add_parser("lex", help="lexicon tools")
-    lex_sub = p.add_subparsers(dest="lex_command", required=True)
-    b = lex_sub.add_parser("build", help="draft entries from rules")
-    b.add_argument("--words", required=True)
-    b.add_argument("--rules")
-    b.add_argument("--all-variants", action="store_true",
-                   help="include opt-in nondeterministic variants")
-    b.set_defaults(func=_cmd_lex_build)
-    c = lex_sub.add_parser("check", help="validate a lexicon file")
-    c.add_argument("file")
-    c.set_defaults(func=_cmd_lex_check)
-
-    p = sub.add_parser("query", help="synalephe/dialephe occurrences of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--lexicon")
-    p.set_defaults(func=_cmd_query, amendments=None)
-
-    p = sub.add_parser("stats", help="accent-pattern histogram")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--secondary", action="store_true")
-    p.set_defaults(func=_cmd_stats, amendments=None)
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
+def _add_commands(parser, dest: str, commands: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (command_help, defaults, args) in commands.items():
+        p = sub.add_parser(name, help=command_help)
+        if isinstance(args, dict):
+            _add_commands(p, f"{name}_command", args)
+            continue
+        for arg, kind, arg_help in args:
+            if kind is POSITIONAL:
+                p.add_argument(arg, help=arg_help)
+            else:
+                p.add_argument(arg, dest=_dest(arg), required=kind is REQUIRED,
+                               action="store_true" if kind is FLAG else "store",
+                               help=arg_help)
+        p.set_defaults(**defaults)
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, if argv spells a command and
+    its options as documented: each option at most once and in full, a
+    value after its option, every required option, and no value or
+    positional that starts with `-`.  None for any other argv, so help,
+    `--`, `--opt=value` and every error are left to argparse."""
+    values, dest, args, i = {}, "command", COMMANDS, 0
+    while isinstance(args, dict):  # a command, then `lex`'s subcommand
+        if i == len(argv) or argv[i] not in args:
+            return None
+        values[dest] = name = argv[i]
+        _, defaults, args = args[name]
+        dest, i = f"{name}_command", i + 1
+    positionals = [arg for arg, kind, _ in args if kind is POSITIONAL]
+    options = {arg: kind for arg, kind, _ in args if kind is not POSITIONAL}
+    for option, kind in options.items():
+        values[_dest(option)] = False if kind is FLAG else None
+    given = set()
+    rest = iter(argv[i:])
+    for arg in rest:
+        if arg[:1] != "-":
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = arg
+        elif arg not in options or arg in given:
+            return None
+        else:
+            given.add(arg)
+            if options[arg] is FLAG:
+                values[_dest(arg)] = True
+                continue
+            value = next(rest, "-")  # a missing value declines as a dash does
+            if value[:1] == "-":
+                return None
+            values[_dest(arg)] = value
+    if positionals or any(kind is REQUIRED and option not in given
+                          for option, kind in options.items()):
+        return None
+    values.update(defaults)
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_FATAL if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_FATAL if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (OSError, InputError) as exc:

@@ -254,6 +254,11 @@ def parse_lexicon(text: str) -> Lexicon:
     for line_no, line in data_lines(text):
         fields = line.split("\t")
         if fields[0] == "@stress-ineligible":
+            # checked as an entry's key is: one not lowercase matches no word
+            for key in fields[1:]:
+                if key != key.lower():
+                    raise LexiconParseError(f"key {key!r} is not case-folded",
+                                            line_no)
             ineligible.extend(fields[1:])
             continue
         if len(fields) != 6:

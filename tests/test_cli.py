@@ -647,7 +647,16 @@ def test_no_command_loads_dataclasses(tmp_path):
     assert codes == [0] * 6
     for name in ("corpus", "analysis", "wordrules"):
         assert f"endecascan.{name}" in modules
-    assert "dataclasses" not in modules and "inspect" not in modules
+    # a documented argv is read without argparse, its gettext or locale
+    for name in ("dataclasses", "inspect", "argparse", "gettext", "locale"):
+        assert name not in modules
+
+
+def test_help_from_a_fresh_process_is_argparse_s(tmp_path):
+    proc = run_fresh(tmp_path, "import sys\nfrom endecascan.cli import main\n"
+                               "sys.exit(main(['scan', '--help']))")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: endecascan scan [-h] [--lexicon LEXICON]")
 
 
 def test_fatal_errors_of_lazily_loaded_modules_from_a_fresh_process(tmp_path):
@@ -682,3 +691,69 @@ def test_commands_from_a_fresh_process(capsys, monkeypatch, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     assert code == 0 and out
+
+
+# argparse's help, usage and error texts, at a fixed width; each command's
+# help as a sha256 of its stdout (exit 0, nothing on stderr)
+HELP_SHA256 = {
+    (): "e14ab9204603e4c258a66d7caeb55e992a2d627e8f3fb8ba6fd8d1ee492d5d6e",
+    ("scan",): "d00697ef3c4a068f3b6605e0b48b2374314bba386e29ab9a3b85ef92d6b3e1ed",
+    ("corpus",): "3416566c436b6032b28cfadb492426154fa1870387e9681cc40448f28679c26c",
+    ("lex",): "51cdb92087ca920f3c23d78f2ec279177a291169f2cecbbb10198299f1a40661",
+    ("lex", "build"): "c09fbb3169f962c6e7a723799d420f093a71101e9b71201f3922b7c561685627",
+    ("lex", "check"): "8580cd48cc95e7efd1c597d9ae63eb24c58917f85416489fff53491e4fb38ef6",
+    ("query",): "142a9aa42b5877c434bd0467e2e48cacc32a04e712ea85441e7f36be71d7be44",
+    ("stats",): "1d9c255d0d3732a17bc561b9a98adf6c1620952e06a30705fd7bf8452977c5c8",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256,
+                         ids=lambda c: " ".join(c) or "endecascan")
+def test_help_texts_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
+
+
+TOP_USAGE = "usage: endecascan [-h] {scan,corpus,lex,query,stats} ...\n"
+NEL_MEZZO = "Nel mezzo del cammin di nostra vita"
+NEL_MEZZO_SCAN = ("|Nel |mez|zo |del |cam|min |di |no|stra |vi|ta\n"
+                  "likelihood: {}\n"
+                  "syllables: 11  accents: a6 a10  status: ok\n")
+MALFORMED = {
+    "no command": ([], 2, "", TOP_USAGE + "endecascan: error: the following "
+                   "arguments are required: command\n"),
+    "unknown command": (["frob"], 2, "", TOP_USAGE + "endecascan: error: "
+                        "argument command: invalid choice: 'frob' (choose from "
+                        "'scan', 'corpus', 'lex', 'query', 'stats')\n"),
+    "missing required option": (
+        ["corpus", "--in", "x"], 2, "",
+        "usage: endecascan corpus [-h] --in INFILE --out OUT [--lexicon LEXICON]\n"
+        "                         [--amendments AMENDMENTS]\n"
+        "endecascan corpus: error: the following arguments are required: --out\n"),
+    "option with no value": (
+        ["scan", "--lexicon"], 2, "",
+        "usage: endecascan scan [-h] [--lexicon LEXICON] [--verbose] verse\n"
+        "endecascan scan: error: argument --lexicon: expected one argument\n"),
+    "unknown option": (["scan", "--frobnicate", NEL_MEZZO], 2, "", TOP_USAGE
+                       + "endecascan: error: unrecognized arguments: --frobnicate\n"),
+    "extra positional": (["scan", "a", "b"], 2, "", TOP_USAGE
+                         + "endecascan: error: unrecognized arguments: b\n"),
+    # argparse takes an abbreviation and an attached value: both scan
+    "abbreviation": (["scan", "--verb", NEL_MEZZO], 0,
+                     NEL_MEZZO_SCAN.format("1.0") + "final states:\n"
+                     "  (|Nel |mez|zo |del |cam|min |di |no|stra |vi|ta, "
+                     "1.0, 11, 1.0)\n", ""),
+    "attached value": (["scan", f"--lexicon={SEED}", NEL_MEZZO], 0,
+                       NEL_MEZZO_SCAN.format("1.000"), ""),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", MALFORMED.values(),
+                         ids=MALFORMED)
+def test_argvs_off_the_documented_spelling_are_pinned(capsys, monkeypatch,
+                                                      argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    assert run(capsys, *argv) == (code, out, err)

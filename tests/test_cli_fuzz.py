@@ -14,13 +14,16 @@ import io
 import pathlib
 import re
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from endecascan import cli
 from endecascan.analysis import classify_word, occurrences_tsv
-from endecascan.cli import _scan_records, build_parser, main
+from endecascan.cli import (FLAG, POSITIONAL, REQUIRED, _read_argv,
+                            _scan_records, build_parser, main)
 from endecascan.tokenizer import normalize_line, tokenize
 
 SEED = (pathlib.Path(__file__).parents[1] / "src" / "endecascan" / "data"
@@ -49,7 +52,7 @@ BAD_LEXICON_ROWS = [
     "selva\t1\t0\t1\tsel|v\t-1",  # does not spell its key
     "x\t0.5\t0\t1\tx\t0", "Selva\t1\t0\t1\tSel|va\t-1", "a\t1\t2\t0\ta\t0",
     "vita\t1\tnan\t1\tvi|ta\t-1", "vita\t1\t0\t1\tvi|ta\t-1,-1",
-    "vita\t1\t0\t1\tvi|ta\tx", "bad",
+    "vita\t1\t0\t1\tvi|ta\tx", "bad", "@stress-ineligible\tE",
 ]
 
 RULE_ROWS = [
@@ -188,3 +191,88 @@ def test_every_input_ends_in_a_documented_outcome(command):
         # a query compares tables only where a verse scans and holds its word
         assert sum(printed_rows) >= len(printed_rows) / 3, \
             f"{sum(printed_rows)} of {len(printed_rows)} queries printed a row"
+
+
+# argvs for the strict reader: a documented argv of one command with now
+# and then a token put in, dropped or repeated, or a run of loose tokens
+def leaf_commands(commands, path=()):
+    for name, (_, _, args) in commands.items():
+        if isinstance(args, dict):
+            yield from leaf_commands(args, (*path, name))
+        else:
+            yield (*path, name), args
+
+
+LEAVES = list(leaf_commands(cli.COMMANDS))
+NAMES = [name for path, _ in LEAVES for name in path]
+OPTIONS = sorted({arg for _, args in LEAVES for arg, kind, _ in args
+                  if kind is not POSITIONAL})
+FLAGS = {arg for _, args in LEAVES for arg, kind, _ in args if kind is FLAG}
+# a value or positional: no file by these names exists in the working
+# directory, so a command that reads one stops at once; argparse takes
+# `-1` and `-` as values, but not `-h` or `--in`
+VALUES = ["v", "selva", "", "scan"] * 2 + ["-1", "-", "-h", "--in"]
+ODD = ["-h", "--help", "--", "-1", "-", "", "--lexicon=x", "--verb", "--in=v"]
+TOKENS = NAMES + OPTIONS + VALUES + ODD
+
+
+@st.composite
+def documented_argv_st(draw):
+    path, args = draw(st.sampled_from(LEAVES))
+    pieces = []
+    for arg, kind, _ in args:
+        if kind is POSITIONAL:
+            pieces.append([draw(st.sampled_from(VALUES))])
+        elif kind is REQUIRED or draw(st.booleans()):
+            value = [] if kind is FLAG else [draw(st.sampled_from(VALUES))]
+            pieces.append([arg, *value])
+    argv = [*path, *(a for piece in draw(st.permutations(pieces)) for a in piece)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        edit = draw(st.sampled_from(["insert", "drop", "repeat", "repeat"]))
+        given = [arg for arg in argv if arg in OPTIONS]
+        if edit == "insert":
+            argv.insert(draw(st.integers(0, len(argv))),
+                        draw(st.sampled_from(TOKENS)))
+        elif edit == "drop":
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif given:
+            # argparse keeps the last value of a repeated option
+            option = draw(st.sampled_from(given))
+            argv.append(option)
+            if option not in FLAGS:
+                argv.append(draw(st.sampled_from(VALUES)))
+    return argv
+
+
+argv_st = st.one_of(documented_argv_st(), documented_argv_st(),
+                    st.lists(st.sampled_from(TOKENS), max_size=6))
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argv_st)
+def check_reader_agrees_with_argparse(argv, accepted):
+    ns = _read_argv(argv)
+    if ns is not None:
+        accepted.append(argv)
+        assert vars(ns) == vars(build_parser().parse_args(argv))
+    # main gives what argparse alone gives, help and errors included
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+        want = run_main(argv)
+    assert run_main(argv) == want
+
+
+def test_the_strict_reader_reads_what_argparse_reads(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    accepted = []
+    check_reader_agrees_with_argparse(accepted)
+    # most documented argvs are read without argparse
+    assert len(accepted) >= 50, f"the reader accepted {len(accepted)} argvs"

@@ -108,6 +108,13 @@ def test_stress_ineligible_is_a_whole_first_field():
         parse_lexicon("@stress-ineligiblex\te")
 
 
+# a stress-ineligible word is a key, so it must be case-folded as one is
+def test_a_stress_ineligible_word_must_be_case_folded():
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 2: key 'E' is not case-folded$"):
+        parse_lexicon(SELVA_LINE + "\n@stress-ineligible\te\tE")
+
+
 # and the edge cases it keeps: a TAB at either end of a row is a field (a
 # leading one gives `empty key`, pinned above), and a TAB-only line is blank
 def test_a_tab_at_the_end_of_a_lexicon_row_is_a_field():
