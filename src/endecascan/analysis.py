@@ -8,8 +8,8 @@ chosen scansions realize.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .corpus import VerseRecord
 from .lexicon import Value

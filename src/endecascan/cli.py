@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
-# corpus, analysis and wordrules are imported inside the commands that use
-# them, so that `scan` and `lex check` start without them
+# corpus, analysis, wordrules and pathlib are imported inside the commands
+# that use them, so that `scan` and `lex check` start without them
 from .lexicon import (InputError, Lexicon, LexiconError, bundled_text,
-                      data_lines, parse_lexicon, serialize_lexicon)
+                      data_lines, parse_lexicon, read_text, serialize_lexicon)
 from .scander import ScanStatus, scan_verse
 from .tokenizer import TokenKind, normalize_line, tokenize, word_tokens
 
@@ -36,22 +35,13 @@ _WARN_NO_CAESURA = ScanStatus.WARN_NO_CAESURA
 _FAIL_UNKNOWN_WORD = ScanStatus.FAIL_UNKNOWN_WORD
 
 
-def _read_text(path: str) -> str:
-    """A UTF-8 file's text; another file is an OSError that names it."""
-    try:
-        return Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                      f"{exc.start})") from None
-
-
 def load_default_lexicon() -> Lexicon:
     env = os.environ.get("ENDECASCAN_LEXICON")
-    return parse_lexicon(_read_text(env) if env else bundled_text("seed.lex"))
+    return parse_lexicon(read_text(env) if env else bundled_text("seed.lex"))
 
 
 def _load_lexicon(path: str | None) -> Lexicon:
-    return load_default_lexicon() if path is None else parse_lexicon(_read_text(path))
+    return load_default_lexicon() if path is None else parse_lexicon(read_text(path))
 
 
 def _cmd_scan(args) -> int:
@@ -78,14 +68,14 @@ def _cmd_scan(args) -> int:
           f"status: {result.status.value}")
     if args.verbose:
         print("final states:")
-        ordered = sorted(result.final_states, key=lambda s: -s.likelihood)
-        for state in ordered:
-            p_r = str(state.pending_p_r)
-            print(f"  ({state.text}, {state.likelihood!r}, {state.count}, {p_r})")
+        for state in sorted(result.final_states, key=lambda s: -s.likelihood):
+            print(f"  ({state.text}, {state.likelihood!r}, {state.count}, "
+                  f"{state.pending_p_r})")
     return EXIT_OK
 
 
 def _cmd_corpus(args) -> int:
+    from pathlib import Path
     from . import corpus
     ok = anomalies = failures = 0
     unknown: set[str] = set()
@@ -119,13 +109,13 @@ def _cmd_corpus(args) -> int:
 def _cmd_lex_build(args) -> int:
     from . import wordrules
     from .corpus import HEADER_RE
-    cfg = (wordrules.load_rule_config(_read_text(args.rules))
+    cfg = (wordrules.load_rule_config(read_text(args.rules))
            if args.rules else wordrules.default_config())
     # keyed as the scanner keys them: each data line normalized whole (a
     # quote pair spans words), then tokenized, so `#mezzo` drafts `mezzo`;
     # a canto header is not a verse, so its words are never looked up
     words = []
-    for _, line in data_lines(_read_text(args.words)):
+    for _, line in data_lines(read_text(args.words)):
         if not HEADER_RE.match(line):
             tokens = tokenize(normalize_line(line))
             words += (token.key for token in word_tokens(tokens))
@@ -135,7 +125,7 @@ def _cmd_lex_build(args) -> int:
 
 
 def _cmd_lex_check(args) -> int:
-    text = _read_text(args.file)
+    text = read_text(args.file)
     try:
         lex = parse_lexicon(text)
     except LexiconError as exc:
@@ -152,8 +142,8 @@ def _scan_records(args, key: str | None = None):
     lexicon key, only the verses holding that word are scanned."""
     from . import corpus
     lex = _load_lexicon(args.lexicon)
-    doc = corpus.parse_corpus(_read_text(args.infile))
-    amendments = (_read_text(args.amendments) if args.amendments
+    doc = corpus.parse_corpus(read_text(args.infile))
+    amendments = (read_text(args.amendments) if args.amendments
                   else bundled_text("amendments.tsv"))
     doc = corpus.apply_amendments(doc, corpus.parse_amendments(amendments),
                                   strict=bool(args.amendments))

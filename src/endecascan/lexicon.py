@@ -21,8 +21,8 @@ in its other fields the monosyllables that never count as metrical accents.
 
 from __future__ import annotations
 
-from importlib import resources
-from typing import Iterable, Iterator, Mapping
+import os
+from collections.abc import Iterable, Iterator, Mapping
 
 WEIGHT_TOLERANCE = 1e-9
 APOSTROPHE_VALUE = 2.0
@@ -300,9 +300,19 @@ def parse_lexicon(text: str) -> Lexicon:
         raise LexiconValidationError(f"invalid lexicon: {exc}") from None
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 file's text; another file is an OSError that names it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                      f"{exc.start})") from None
+
+
 def bundled_text(name: str) -> str:
     """The text of a data file shipped in the package's `data` folder."""
-    return resources.files("endecascan").joinpath("data", name).read_text("utf-8")
+    return read_text(os.path.join(os.path.dirname(__file__), "data", name))
 
 
 def serialize_lexicon(lex: Lexicon) -> str:

@@ -28,8 +28,8 @@ word.  Among admissible readings the most likely one wins.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .lexicon import (APOSTROPHE_VALUE, PROB_ZERO, Lexicon, Propensity,
                       Value, WordAnalysis)

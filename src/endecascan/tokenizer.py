@@ -36,8 +36,8 @@ U+2018, so normalizing twice changes nothing.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .lexicon import Value
 

@@ -15,7 +15,7 @@ are only drafted with all_variants.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .lexicon import (PROB_ONE, PROB_ZERO, InputError, Lexicon,
                       LexiconValidationError, Propensity, Value, WordAnalysis,

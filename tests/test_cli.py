@@ -70,9 +70,11 @@ def test_scan_unknown_word_exit_code(capsys):
 
 
 def test_missing_file_is_fatal(capsys):
-    code, _, err = run(capsys, "scan", "--lexicon", "/no/such/file.lex", VERSE)
-    assert code == 2
-    assert err
+    # named as given, as a file that is not UTF-8 is: not as pathlib spells it
+    code, out, err = run(capsys, "scan", "--lexicon", "/no/such/./file.lex", VERSE)
+    assert (code, out) == (2, "")
+    assert err == ("endecascan: [Errno 2] No such file or directory: "
+                   "'/no/such/./file.lex'\n")
 
 
 def test_unknown_flag_is_fatal(capsys):
@@ -282,6 +284,31 @@ def test_batch_outputs_of_the_canto_are_pinned(capsys, monkeypatch, tmp_path):
         outputs[label] = out
     assert {label: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for label, text in outputs.items()} == BATCH_SHA256
+
+
+# sha256 of the corpus outputs of the anomalies fixture, 3 cantiche and 9
+# cantos: the gaps between cantos, cantiche and tercets, and the anomaly
+# list in corpus order
+FIXTURE_SHA256 = {
+    "syl.txt": "40a3674a3c96cb1d1a30ecde0aedc6e7e54d7a1dc14cf2b28c7c943771ac0f50",
+    "report.tsv":
+        "57e16ab1675537a27d48fd8455a5f5b05489575cfe88b8eb2a4b49a1ac4b3e8b",
+    "anomalies.txt":
+        "8b0719a4c7a31563d1ad74731580dc8bd9771c0c9adb16ddbf3e73c424048c12",
+}
+
+
+def test_batch_outputs_of_the_anomalies_fixture_are_pinned(capsys, monkeypatch,
+                                                          tmp_path):
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    fixture = str(DATA / "anomalies_fixture.txt")
+    code, out, err = run(capsys, "corpus", "--in", fixture, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("scanned 11 verses: 4 ok, 7 anomalies, 0 failures\n")
+    outputs = {name: (tmp_path / f"anomalies_fixture.{name}").read_bytes()
+               for name in FIXTURE_SHA256}
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()} == FIXTURE_SHA256
 
 
 def test_lex_build_with_custom_rules(capsys, tmp_path):
@@ -586,12 +613,13 @@ def test_a_dotted_capital_i_reaches_the_scanner(capsys, monkeypatch, tmp_path):
         "fail-no-accent10")
 
 
-def run_fresh(cwd, script):
-    """Run the command line in a new interpreter, so no module is loaded yet."""
+def run_fresh(cwd, script, flags=()):
+    """Run the command line in a new interpreter, so no module is loaded yet;
+    flags go to the interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("ENDECASCAN_LEXICON", None)
-    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *flags, "-c", script], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
@@ -602,7 +630,8 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
                  cli.main(["lex", "check", {SEED!r}])]
         print(json.dumps([codes, sorted(sys.modules)]))
     """
-    proc = run_fresh(tmp_path, script)
+    # -S: no `site`, whose .pth files may load any module before ours
+    proc = run_fresh(tmp_path, script, ["-S"])
     assert proc.returncode == 0, proc.stderr
     codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
@@ -610,6 +639,10 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
     for name in ("corpus", "analysis", "wordrules"):
         assert f"endecascan.{name}" not in modules
     assert "dataclasses" not in modules and "inspect" not in modules
+    # bundled data is read with `open`, and annotations name collections.abc
+    for name in ("importlib.resources", "pathlib", "typing", "tempfile",
+                 "zipfile", "fnmatch", "urllib"):
+        assert name not in modules
 
 
 def test_corpus_does_not_load_analysis_or_wordrules(tmp_path):

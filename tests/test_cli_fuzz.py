@@ -11,6 +11,7 @@ unfiltered records give, and most queries print a row of it.
 
 import contextlib
 import io
+import itertools
 import pathlib
 import re
 import tempfile
@@ -257,10 +258,9 @@ def run_main(argv):
 
 @settings(max_examples=300, deadline=None)
 @given(argv=argv_st)
-def check_reader_agrees_with_argparse(argv, accepted):
+def check_reader_agrees_with_argparse(argv):
     ns = _read_argv(argv)
     if ns is not None:
-        accepted.append(argv)
         assert vars(ns) == vars(build_parser().parse_args(argv))
     # main gives what argparse alone gives, help and errors included
     with mock.patch.object(cli, "_read_argv", lambda argv: None):
@@ -272,7 +272,31 @@ def test_the_strict_reader_reads_what_argparse_reads(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
-    accepted = []
-    check_reader_agrees_with_argparse(accepted)
-    # most documented argvs are read without argparse
-    assert len(accepted) >= 50, f"the reader accepted {len(accepted)} argvs"
+    check_reader_agrees_with_argparse()
+
+
+def documented_argvs():
+    """Each leaf command with its required arguments and every subset of
+    its optional ones, in every order; values and positionals cycle
+    through those of VALUES that do not start with `-`."""
+    values = itertools.cycle([v for v in VALUES if v[:1] != "-"])
+    for path, args in LEAVES:
+        required = [arg for arg in args if arg[1] in (POSITIONAL, REQUIRED)]
+        optional = [arg for arg in args if arg[1] not in (POSITIONAL, REQUIRED)]
+        for n in range(len(optional) + 1):
+            for chosen in itertools.combinations(optional, n):
+                for order in itertools.permutations(required + list(chosen)):
+                    argv = list(path)
+                    for arg, kind, _ in order:
+                        argv += ([next(values)] if kind is POSITIONAL else
+                                 [arg] if kind is FLAG else [arg, next(values)])
+                    yield argv
+
+
+def test_the_strict_reader_reads_every_documented_argv():
+    argvs = list(documented_argvs())
+    assert len(argvs) >= 50, f"{len(argvs)} documented argvs"
+    for argv in argvs:
+        ns = _read_argv(argv)
+        assert ns is not None, f"the reader declined {argv}"
+        assert vars(ns) == vars(build_parser().parse_args(argv))

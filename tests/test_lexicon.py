@@ -1,10 +1,12 @@
+from importlib import resources
+
 import pytest
 
 from endecascan.lexicon import (Lexicon, LexiconParseError,
                                 LexiconValidationError, MetricTuple,
                                 Propensity, UnknownWord, WordAnalysis,
-                                build_lexicon, data_lines, parse_lexicon,
-                                serialize_lexicon)
+                                build_lexicon, bundled_text, data_lines,
+                                parse_lexicon, serialize_lexicon)
 
 SELVA_LINE = "selva\t1\t0\t1\tsel|va\t-1"
 
@@ -283,3 +285,13 @@ def test_lexicons_compare_by_value_and_are_unhashable():
     assert repr(Lexicon({})) == "Lexicon(entries={}, stress_ineligible=frozenset())"
     with pytest.raises(TypeError):
         hash(lex)
+
+
+def test_bundled_text_reads_what_importlib_resources_reads():
+    data = resources.files("endecascan").joinpath("data")
+    names = sorted(entry.name for entry in data.iterdir())
+    assert names == ["amendments.tsv", "hiatus_words.txt", "nondet_words.tsv",
+                     "seed.lex"]
+    for name in names:
+        assert bundled_text(name) == data.joinpath(name).read_text("utf-8")
+
