@@ -14,6 +14,7 @@ default dictionary.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -295,5 +296,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
 
 
+def run() -> int:
+    """The program entry of `python -m endecascan.cli` and of the
+    `endecascan` script: main's exit code, with every object frozen."""
+    code = main()
+    # the process ends next: the collections the interpreter makes while it
+    # shuts down skip frozen objects, whose memory the OS takes back anyway
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -301,10 +301,11 @@ def parse_lexicon(text: str) -> Lexicon:
 
 
 def read_text(path: str) -> str:
-    """A UTF-8 file's text; another file is an OSError that names it."""
+    """A UTF-8 file's text, less one leading byte-order mark; another file
+    is an OSError that names it."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                       f"{exc.start})") from None

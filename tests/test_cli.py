@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -397,6 +398,44 @@ def test_a_file_that_is_not_utf8_is_named_and_fatal(capsys, monkeypatch,
     assert err.startswith(f"endecascan: {bad}: not UTF-8 text ")
 
 
+SEED_TEXT = pathlib.Path(SEED).read_text("utf-8")
+CANTO_LINES = pathlib.Path(CANTO).read_text("utf-8").splitlines()
+TWO_CANTOS = "\n".join(["Inferno: Canto I", "", *CANTO_LINES[2:5], "",
+                        "Inferno: Canto II", "", *CANTO_LINES[5:8]]) + "\n"
+# an input file of each kind, led by a line that reads otherwise if a
+# byte-order mark sticks to it: a `#` comment, a canto header, a cantica
+BOM_CASES = {
+    "dictionary": (["lex", "check", "input.txt"], SEED_TEXT),
+    "scan --lexicon": (["scan", "--lexicon", "input.txt", VERSE], SEED_TEXT),
+    "corpus": (["corpus", "--lexicon", SEED, "--in", "input.txt", "--out", "out"],
+               TWO_CANTOS),
+    "stats": (["stats", "--lexicon", SEED, "--in", "input.txt"], TWO_CANTOS),
+    "amendments": (["corpus", "--lexicon", SEED, "--in", CANTO, "--out", "out",
+                    "--amendments", "input.txt"], "Inferno\tI\t2\tselva\tselva\n"),
+    "rules": (["lex", "build", "--words", CANTO, "--rules", "input.txt"],
+              "# rules\nhiatus\tviaggio\n"),
+    "lex build --words": (["lex", "build", "--words", "input.txt"],
+                          "# words\nselva oscura\n"),
+}
+
+
+@pytest.mark.parametrize("argv, text", BOM_CASES.values(), ids=BOM_CASES)
+def test_a_leading_byte_order_mark_is_ignored(capsys, monkeypatch, tmp_path,
+                                              argv, text):
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    results = []
+    for mark in ("", "\ufeff"):
+        work = tmp_path / ("marked" if mark else "plain")
+        work.mkdir()
+        (work / "input.txt").write_text(mark + text, "utf-8")
+        monkeypatch.chdir(work)
+        printed = run(capsys, *argv)
+        written = {p.name: p.read_bytes() for p in work.glob("out/*")}
+        results.append((printed, written))
+    assert results[0] == results[1]
+    assert results[0][0][0] == 0
+
+
 def test_an_amendment_verse_number_that_is_not_an_integer_is_fatal(capsys,
                                                                    tmp_path):
     amendments = tmp_path / "fix.tsv"
@@ -613,13 +652,13 @@ def test_a_dotted_capital_i_reaches_the_scanner(capsys, monkeypatch, tmp_path):
         "fail-no-accent10")
 
 
-def run_fresh(cwd, script, flags=()):
-    """Run the command line in a new interpreter, so no module is loaded yet;
-    flags go to the interpreter."""
+def run_fresh(cwd, *args):
+    """Run a new interpreter, so no module is loaded yet, on the
+    interpreter arguments args."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("ENDECASCAN_LEXICON", None)
-    return subprocess.run([sys.executable, *flags, "-c", script], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
@@ -631,7 +670,7 @@ def test_scan_and_lex_check_do_not_load_the_batch_modules(tmp_path):
         print(json.dumps([codes, sorted(sys.modules)]))
     """
     # -S: no `site`, whose .pth files may load any module before ours
-    proc = run_fresh(tmp_path, script, ["-S"])
+    proc = run_fresh(tmp_path, "-S", "-c", script)
     assert proc.returncode == 0, proc.stderr
     codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
@@ -652,7 +691,7 @@ def test_corpus_does_not_load_analysis_or_wordrules(tmp_path):
         codes = [cli.main(["corpus", "--in", {CANTO!r}, "--out", "out"])]
         print(json.dumps([codes, sorted(sys.modules)]))
     """
-    proc = run_fresh(tmp_path, script)
+    proc = run_fresh(tmp_path, "-c", script)
     assert proc.returncode == 0, proc.stderr
     codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0]
@@ -674,7 +713,7 @@ def test_no_command_loads_dataclasses(tmp_path):
             ["lex", "check", {SEED!r}])]
         print(json.dumps([codes, sorted(sys.modules)]))
     """
-    proc = run_fresh(tmp_path, script)
+    proc = run_fresh(tmp_path, "-c", script)
     assert proc.returncode == 0, proc.stderr
     codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * 6
@@ -686,8 +725,8 @@ def test_no_command_loads_dataclasses(tmp_path):
 
 
 def test_help_from_a_fresh_process_is_argparse_s(tmp_path):
-    proc = run_fresh(tmp_path, "import sys\nfrom endecascan.cli import main\n"
-                               "sys.exit(main(['scan', '--help']))")
+    proc = run_fresh(tmp_path, "-c", "import sys\nfrom endecascan.cli import main\n"
+                                     "sys.exit(main(['scan', '--help']))")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith("usage: endecascan scan [-h] [--lexicon LEXICON]")
 
@@ -700,8 +739,8 @@ def test_fatal_errors_of_lazily_loaded_modules_from_a_fresh_process(tmp_path):
              "amendment line 1: bad roman numeral 'Q'"),
             (["lex", "build", "--words", CANTO, "--rules", "rules.cfg"],
              "line 1: diphthong-p value '5' outside [0, 1]")]:
-        proc = run_fresh(tmp_path, "import sys\nfrom endecascan.cli import main\n"
-                                   f"sys.exit(main({argv!r}))")
+        proc = run_fresh(tmp_path, "-c", "import sys\nfrom endecascan.cli import main\n"
+                                         f"sys.exit(main({argv!r}))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"endecascan: {message}\n")
 
@@ -718,7 +757,7 @@ def test_commands_from_a_fresh_process(capsys, monkeypatch, tmp_path, argv):
     # missing import
     script = ("import sys\nfrom endecascan.cli import main\n"
               f"sys.exit(main({argv!r}))")
-    proc = run_fresh(tmp_path, script)
+    proc = run_fresh(tmp_path, "-c", script)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
     code, out, err = run(capsys, *argv)
@@ -790,3 +829,51 @@ def test_argvs_off_the_documented_spelling_are_pinned(capsys, monkeypatch,
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
     assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", NEL_MEZZO],
+    ["corpus", "--in", CANTO, "--out", "out"],
+    ["lex", "build", "--words", CANTO],
+    ["lex", "check", SEED],
+    ["query", "--word", "tra", "--in", CANTO],
+    ["stats", "--in", CANTO],
+], ids=["scan", "corpus", "lex build", "lex check", "query", "stats"])
+def test_main_in_process_freezes_no_object(capsys, monkeypatch, tmp_path,
+                                           argv):
+    # only the program entry freezes: a caller of main keeps its collector
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    frozen = gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_module_entry_exits_with_its_objects_frozen(tmp_path):
+    script = f"""if True:
+        import atexit, gc, runpy, sys
+        atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+        sys.argv = ["endecascan", "scan", {NEL_MEZZO!r}]
+        runpy.run_module("endecascan.cli", run_name="__main__")
+    """
+    proc = run_fresh(tmp_path, "-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *scan, probe = proc.stdout.splitlines(keepends=True)
+    assert "".join(scan) == NEL_MEZZO_SCAN.format("1.000")
+    assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", NEL_MEZZO], 0),
+    (["scan", "zzz"], 1),
+    (["scan", "--lexicon", "missing.lex", NEL_MEZZO], 2),
+], ids=["ok", "unknown word", "missing dictionary"])
+def test_python_m_prints_and_exits_as_main(capsys, monkeypatch, tmp_path, argv,
+                                           code):
+    proc = run_fresh(tmp_path, "-m", "endecascan.cli", *argv)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code
+    if code == 1:
+        assert proc.stderr == "endecascan: unknown word 'zzz'\n"

@@ -6,7 +6,7 @@ from endecascan.lexicon import (Lexicon, LexiconParseError,
                                 LexiconValidationError, MetricTuple,
                                 Propensity, UnknownWord, WordAnalysis,
                                 build_lexicon, bundled_text, data_lines,
-                                parse_lexicon, serialize_lexicon)
+                                parse_lexicon, read_text, serialize_lexicon)
 
 SELVA_LINE = "selva\t1\t0\t1\tsel|va\t-1"
 
@@ -295,3 +295,13 @@ def test_bundled_text_reads_what_importlib_resources_reads():
     for name in names:
         assert bundled_text(name) == data.joinpath(name).read_text("utf-8")
 
+
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.txt"
+    path.write_bytes("\ufeff\ufeffselva\ufeff\n".encode("utf-8"))
+    assert read_text(str(path)) == "\ufeffselva\ufeff\n"
+    # a byte that is not UTF-8 after the mark still names the file
+    path.write_bytes("\ufeff".encode("utf-8") + "perché\n".encode("latin-1"))
+    with pytest.raises(OSError) as exc:
+        read_text(str(path))
+    assert str(exc.value).startswith(f"{path}: not UTF-8 text ")

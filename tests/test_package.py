@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -48,3 +49,16 @@ def test_readme_public_names_resolve():
             obj = importlib.import_module(module)
             for part in name.split("."):
                 obj = getattr(obj, part)
+
+
+def test_the_console_script_runs_the_module_entry():
+    # read as text: tomllib is not in Python 3.10
+    pyproject = (ROOT / "pyproject.toml").read_text("utf-8")
+    section = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [(module, name)] = re.findall(r'^endecascan = "([\w.]+):(\w+)"$', section, re.M)
+    assert module == "endecascan.cli"
+    cli = importlib.import_module(module)
+    assert inspect.isfunction(getattr(cli, name))
+    # the same function that `python -m endecascan.cli` runs
+    source = (ROOT / "src" / "endecascan" / "cli.py").read_text("utf-8")
+    assert source.endswith(f'if __name__ == "__main__":\n    sys.exit({name}())\n')
