@@ -224,7 +224,6 @@ def scan_records(doc: tuple[Verse, ...], lex: Lexicon,
     word.  With ς read as σ on both sides, a verse whose keyed raw text
     lacks the key's longest run of letters is dropped before it is
     normalized; the others are tokenized and checked token by token."""
-    cfg = cfg or ScanConfig()
     if key is not None:
         # normalizing rewrites only apostrophe-like marks and whitespace,
         # so each letter run of a word stands unchanged in its raw verse;

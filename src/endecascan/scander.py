@@ -388,15 +388,17 @@ def _rank(states: list[ScanState], eps: float) -> list[ScanState]:
     return [states[k] for k in ranked]
 
 
-# every verse starts from this empty root; states are values, so one serves
+# every verse starts from this empty root, and a scan given no config
+# uses this one; both are values, so one serves
 _ROOT = ScanState()
+_DEFAULT_CONFIG = ScanConfig()
 
 
 def scan_verse(tokens: Iterable[Token], lex: Lexicon,
                cfg: ScanConfig | None = None) -> VerseScansion:
     """Scan one tokenized verse against a lexicon; an analysis that does
     not spell its word fails the verse, as FAIL_BAD_ANALYSIS."""
-    cfg = cfg or ScanConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     entries, ineligible = lex.entries, lex.stress_ineligible
     states = [_ROOT]
     index = 0  # of the word among the words, not among the tokens

@@ -2,23 +2,24 @@
 
 A verse is processed as a flat sequence of tokens: words and punctuation.
 Punctuation never affects the metre, but it must survive into the rendered
-output, so `tokenize` builds each word token once, with its final
-punctuation context: a standalone mark that opens (or comes before the
-first word) joins the next word's `lead`, any other joins the previous
-word's `trail`.  The mark also stays in the stream as a PUNCT token, so
-the stream still rebuilds the line.
+output, so each word token carries its punctuation context: a piece
+with no letter, a standalone mark, stays in the stream as a PUNCT token,
+so the stream still rebuilds the line, and one pass over the line's
+tokens then gives each mark to a word.  A mark that opens (or comes
+before the first word) joins the next word's `lead`, any other the
+previous word's `trail`.
 
 The words of a poem repeat (nearly half the pieces of one canto repeat
-an earlier piece of it), and tokens are values, so a word token that no
-standalone mark changes is shared.  Two bounded module tables map a
-piece, the string itself, to its token: `_FIRST_WORDS` for a line's
-first word (`space_before` false) and `_LATER_WORDS` for the words after
-it.  A repeated piece costs one lookup, and verses hold the same token
-objects.  Both tables full of 32-character pieces in 4-byte characters
-hold 8.3 MB (tracemalloc); Inferno I leaves 83 and 488 tokens in them,
-0.14 MB.  `_word_token` alone makes word tokens, with the `Token`
-constructor: for a table miss and for the words of a line with a
-standalone mark, which no workload line has.  A third table, `_ELIDED`,
+an earlier piece of it), and tokens are values, so a word token is
+shared.  Two bounded module tables map a piece, the string itself, to
+its token: `_FIRST_WORDS` for a line's first word (`space_before` false)
+and `_LATER_WORDS` for the words after it.  A repeated piece costs one
+lookup, and verses hold the same token objects.  Both tables full of
+32-character pieces in 4-byte characters hold 8.3 MB (tracemalloc);
+Inferno I leaves 83 and 488 tokens in them, 0.14 MB.  `_word_token`
+makes a word token on a table miss.  The pass over a line with a
+standalone mark, which no workload line has, copies each word that a
+mark joins into that line's own list only.  A third table, `_ELIDED`,
 bounded the same way, holds each whitespace piece with an apostrophe
 after its elision split.  Splitting piece by piece gives the line's own
 split, because an elision run is made of letters and apostrophes only
@@ -51,7 +52,6 @@ _APOSTROPHE_VARIANTS = "'ʼ′`"
 NO_SPLIT_WORDS = frozenset({"acco’lo", "entra’mi"})
 
 _PUNCT_OPEN = "«“(‘\""
-_SPLIT_RE = re.compile(r"(?<=[^\W\d_])’(?=[^\W\d_])", re.UNICODE)
 # a run of letters and apostrophes with at least one apostrophe between
 # letters: the only runs that an elision split can change; anchored at a
 # run's first letter, so it scans in linear time
@@ -141,11 +141,12 @@ def normalize_line(line: str) -> str:
 
 
 def _split_elisions(match: re.Match) -> str:
-    # keep whole-word exceptions intact, split every other letter-'-letter
+    # keep whole-word exceptions intact; every apostrophe of a run but a
+    # final one stands between letters, and gains a following space
     run = match.group(0)
     if run.lower() in NO_SPLIT_WORDS:
         return run
-    return _SPLIT_RE.sub(APOSTROPHE + " ", run)
+    return run[:-1].replace(APOSTROPHE, APOSTROPHE + " ") + run[-1]
 
 
 def _rewrite_open_quotes(line: str) -> str:
@@ -196,10 +197,6 @@ def lex_key(word: str) -> str:
     return word.replace("İ", "i").lower()
 
 
-def _opens(mark: str) -> bool:
-    return any(ch in _PUNCT_OPEN for ch in mark)
-
-
 def tokenize(line: str) -> list[Token]:
     """Split a normalized line into word and punctuation tokens.
 
@@ -209,60 +206,58 @@ def tokenize(line: str) -> list[Token]:
     """
     tokens: list[Token] = []
     table = _FIRST_WORDS
+    marks = False
     for piece in line.split(" "):
         if not piece:
             continue
         token = table.get(piece)
         if token is None:
-            token = _word_token(piece, table is not _FIRST_WORDS)
+            space_before = table is not _FIRST_WORDS
+            token = _word_token(piece, space_before)
             if token is None:  # a standalone mark: its neighbours change
-                return _tokenize_marks(line)
-            _share(table, piece, token)
+                token = Token(TokenKind.PUNCT, piece, space_before)
+                marks = True
+            else:
+                _share(table, piece, token)
         tokens.append(token)
         table = _LATER_WORDS
+    if marks:
+        _attach_marks(tokens)
     return tokens
 
 
-def _tokenize_marks(line: str) -> list[Token]:
-    # a line with a standalone mark: each mark is a PUNCT token and also
-    # joins a neighbouring word's lead or trail
-    pieces = [piece for piece in line.split(" ") if piece]
-    words = [_word_token(piece, i > 0) for i, piece in enumerate(pieces)]
-    tokens: list[Token] = []
-    pending_lead = ""
-    seen_word = False
-    last = len(pieces) - 1
-    for i, (piece, token) in enumerate(zip(pieces, words)):
-        if token is None:
-            # a mark after a word that does not open is in its trail already
-            if not seen_word or _opens(piece):
-                pending_lead += piece
-            tokens.append(Token(TokenKind.PUNCT, piece, i > 0))
-            continue
-        # the marks up to the next word that do not open join the trail
-        trail = ""
-        j = i
-        while j < last and words[j + 1] is None:
-            j += 1
-            if not _opens(pieces[j]):
-                trail += pieces[j]
-        if pending_lead or trail:
-            token = _word_token(piece, i > 0, pending_lead, trail)
-        tokens.append(token)
-        pending_lead = ""
-        seen_word = True
-    return tokens
+def _attach_marks(tokens: list[Token]) -> None:
+    # a mark that opens, or that comes before the first word, joins the
+    # next word's lead; any other joins the previous word's trail.  Only
+    # this line's list holds the words that change, built once each
+    last = -1  # the previous word
+    lead = trail = ""  # its marks
+    pending = ""  # the marks for the next word's lead
+    for i, token in enumerate(tokens):
+        if token.kind is _WORD:
+            if lead or trail:
+                _join_marks(tokens, last, lead, trail)
+            last, lead, trail, pending = i, pending, "", ""
+        elif last < 0 or any(ch in _PUNCT_OPEN for ch in token.surface):
+            pending += token.surface
+        else:
+            trail += token.surface
+    if lead or trail:
+        _join_marks(tokens, last, lead, trail)
 
 
-def _word_token(piece: str, space_before: bool, lead: str = "",
-                trail: str = "") -> Token | None:
-    """The WORD token of a piece, with the marks of its neighbours added
-    to its own lead and trail; None for a piece with no letter."""
-    own_lead, word, own_trail = _split_piece(piece)
+def _join_marks(tokens: list[Token], i: int, lead: str, trail: str) -> None:
+    t = tokens[i]
+    tokens[i] = Token(_WORD, t.surface, t.space_before, t.word, t.key,
+                      lead + t.lead, t.trail + trail)
+
+
+def _word_token(piece: str, space_before: bool) -> Token | None:
+    """The WORD token of a piece; None for a piece with no letter."""
+    lead, word, trail = _split_piece(piece)
     if not word:
         return None
-    return Token(_WORD, piece, space_before, word, lex_key(word),
-                 lead + own_lead, own_trail + trail)
+    return Token(_WORD, piece, space_before, word, lex_key(word), lead, trail)
 
 
 def word_tokens(tokens: Iterable[Token]) -> list[Token]:

@@ -83,12 +83,14 @@ def test_unknown_flag_is_fatal(capsys):
 
 
 def test_corpus_subcommand(capsys, tmp_path):
+    # the output folder and its missing parents are made
+    sink = tmp_path / "a" / "b" / "c"
     code, out, err = run(capsys, "corpus", "--lexicon", SEED,
                          "--in", str(DATA / "inferno_i.txt"),
-                         "--out", str(tmp_path))
+                         "--out", str(sink))
     assert code == 0
     assert "scanned 136 verses: 136 ok, 0 anomalies, 0 failures" in out
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
+    assert sorted(p.name for p in sink.iterdir()) == [
         "inferno_i.anomalies.txt", "inferno_i.report.tsv", "inferno_i.syl.txt"]
 
 
@@ -255,6 +257,8 @@ def test_lex_build_output_of_the_rule_inputs_is_pinned(capsys, tmp_path,
 # dictionary; only a deliberate change to scanning or to an output
 # format may update these
 BATCH_SHA256 = {
+    "corpus syl.txt":
+        "98bdffcdb7dfcf4f9bb087a42ca5522f6473179ebd67618f484cbd9921cb9492",
     "corpus report.tsv":
         "7c10f9ce6df30e459c3062de8beef9c48c39d4eef262fdaf3a1050088b9bc723",
     # the canto has no anomaly: the file is empty
@@ -274,7 +278,7 @@ def test_batch_outputs_of_the_canto_are_pinned(capsys, monkeypatch, tmp_path):
     outputs = {}
     code, _, err = run(capsys, "corpus", "--in", CANTO, "--out", str(tmp_path))
     assert (code, err) == (0, "")
-    for name in ("report.tsv", "anomalies.txt"):
+    for name in ("syl.txt", "report.tsv", "anomalies.txt"):
         outputs[f"corpus {name}"] = (tmp_path / f"inferno_i.{name}").read_text("utf-8")
     for label, argv in [("stats", ["stats"]),
                         ("stats --secondary", ["stats", "--secondary"]),

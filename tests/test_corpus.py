@@ -29,9 +29,10 @@ def test_roman_numerals():
     assert roman_to_int("CXXXVI") == 136
     with pytest.raises(CorpusFormatError):
         roman_to_int("Q")
-    for numeral in ("IIII", "MMMMM", "IC", "VX", "XIIX", ""):
+    for numeral in ("IIII", "IL", "MMMMM", "IC", "VX", "XIIX", ""):
         with pytest.raises(CorpusFormatError):
             roman_to_int(numeral)
+    assert all(roman_to_int(int_to_roman(n)) == n for n in range(1, 4000))
 
 
 def test_parse_canto(canto_document):
@@ -141,6 +142,12 @@ def test_amendment_rows_lose_the_spaces_at_their_ends_and_keep_their_tabs():
     assert delete == Amendment("Inferno", 1, 1, "selva ", "")
     doc = parse_corpus("Inferno: Canto I\n\nuna selva oscura\n")
     assert apply_amendments(doc, [delete])[0].text == "una oscura"
+    # a sixth field is the note
+    assert parse_amendments("Inferno\tI\t2\tselva\tselva\tnota")[0].note == "nota"
+    # an original that occurs twice in its verse changes once, the first
+    (twice,) = parse_amendments("Inferno\tI\t1\tselva\tsilva")
+    doc = parse_corpus("Inferno: Canto I\n\nselva selva oscura\n")
+    assert apply_amendments(doc, [twice])[0].text == "silva selva oscura"
 
 
 def test_bundled_amendments_skip_what_they_cannot_apply(capsys):

@@ -19,13 +19,23 @@ def test_propensity_bounds():
         Propensity.prob(1.5)
     with pytest.raises(LexiconValidationError):
         Propensity(-0.1)
+    with pytest.raises(LexiconValidationError,
+                       match=r"^propensity out of range: 1\.5$"):
+        Propensity(1.5)
+    # the apostrophe sentinel is a propensity, not a probability
+    with pytest.raises(LexiconValidationError,
+                       match=r"^probability out of range: 2\.0$"):
+        Propensity.prob(2.0)
 
 
 def test_metric_tuple_invariants():
     MetricTuple(Propensity.prob(0), 2, -1, Propensity.prob(1))
-    with pytest.raises(LexiconValidationError):
-        MetricTuple(Propensity.prob(0), 2, -2, Propensity.prob(1))
-    with pytest.raises(LexiconValidationError):
+    for offset in (1, -2):
+        with pytest.raises(LexiconValidationError,
+                           match=rf"^accent offset {offset} outside \[-1, 0\]$"):
+            MetricTuple(Propensity.prob(0), 2, offset, Propensity.prob(1))
+    with pytest.raises(LexiconValidationError,
+                       match=r"^syllable count must be positive: 0$"):
         MetricTuple(Propensity.prob(0), 0, 0, Propensity.prob(1))
 
 
@@ -82,6 +92,12 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon("\t1\t0\t1\tsel|va\t-1\n")
     with pytest.raises(LexiconParseError, match="line 1: bad weight 'w'"):
         parse_lexicon("selva\tw\t0\t1\tsel|va\t-1\n")
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 1: syllables must be nonempty$"):
+        parse_lexicon("selva\t1\t0\t1\tsel||va\t-1")
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 1: weight must be in \(0, 1\]: 1\.5$"):
+        parse_lexicon("e\t1.5\t0.9\t0.2\te\t0")
 
 
 def test_data_lines_skip_blank_and_comment_lines_and_strip_only_spaces():
@@ -115,6 +131,9 @@ def test_a_stress_ineligible_word_must_be_case_folded():
     with pytest.raises(LexiconParseError,
                        match=r"^line 2: key 'E' is not case-folded$"):
         parse_lexicon(SELVA_LINE + "\n@stress-ineligible\te\tE")
+    with pytest.raises(LexiconParseError,
+                       match=r"^line 1: key 'E' is not case-folded$"):
+        parse_lexicon("@stress-ineligible\tE\te")
 
 
 # and the edge cases it keeps: a TAB at either end of a row is a field (a

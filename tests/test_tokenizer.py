@@ -243,40 +243,49 @@ def test_a_mark_changes_only_its_own_line(empty_tables):
     assert [t.trail for t in word_tokens(tokenize("vita ,"))] == [","]
 
 
+# the bounds of the three shared tables, at which the module docstring
+# measures their memory: entries per table, and characters per piece
+TABLE_BOUND, PIECE_BOUND = 8192, 32
+
+
 def test_the_shared_table_is_bounded(empty_tables):
-    bound = tokenizer._SHARED_TOKENS_MAX
     letters = "abcdefghilmnopqrstuvz"
     pieces = ["".join(letters[i // len(letters) ** k % len(letters)]
-                      for k in range(4)) for i in range(bound + 100)]
+                      for k in range(4)) for i in range(TABLE_BOUND + 100)]
     assert len(set(pieces)) == len(pieces)
-    # every piece once as a line's first word and once after it
-    for start in range(0, len(pieces), 100):
-        tokenize("vita " + " ".join(pieces[start:start + 100]))
+    first, later = empty_tables
+    # every piece once as a line's first word and once after it, the
+    # bound checked after each insertion
     for piece in pieces:
         tokenize(piece)
-    first, later = empty_tables
-    assert 0 < len(first) <= bound
-    assert 0 < len(later) <= bound
-    long_piece = "a" * (tokenizer._SHARED_PIECE_MAX + 1)
-    assert tokenize(long_piece)[0].word == long_piece
-    assert tokenize("vita " + long_piece)[1].word == long_piece
-    assert long_piece not in first and long_piece not in later
+        tokenize("vita " + piece)
+        assert 0 < len(first) <= TABLE_BOUND
+        assert 0 < len(later) <= TABLE_BOUND
+    # a piece at the bound is kept, a longer one built every time
+    for size, kept in [(PIECE_BOUND, True), (PIECE_BOUND + 1, False)]:
+        piece = "a" * size
+        assert tokenize(piece)[0].word == piece
+        assert tokenize("vita " + piece)[1].word == piece
+        assert (piece in first, piece in later) == (kept, kept)
 
 
 def test_the_elision_table_is_bounded(monkeypatch):
     table = {}
     monkeypatch.setattr(tokenizer, "_ELIDED", table)
-    bound = tokenizer._SHARED_TOKENS_MAX
     letters = "abcdefghilmnopqrstuvz"
     pieces = ["l’" + "".join(letters[i // len(letters) ** k % len(letters)]
-                             for k in range(4)) for i in range(bound + 100)]
+                             for k in range(4)) for i in range(TABLE_BOUND + 100)]
     assert len(set(pieces)) == len(pieces)
+    # one piece a line, the bound checked after each insertion
+    for piece in pieces:
+        normalize_line(piece)
+        assert 0 < len(table) <= TABLE_BOUND
     for start in range(0, len(pieces), 100):
         line = " ".join(pieces[start:start + 100])
         assert normalize_line(line) == line.replace("’", "’ ")
-    assert 0 < len(table) <= bound
     assert normalize_line("vita nostra") == "vita nostra"
     assert "vita" not in table  # a piece without an apostrophe is not kept
-    long_piece = "l’" + "a" * tokenizer._SHARED_PIECE_MAX
-    assert normalize_line(long_piece) == "l’ " + "a" * tokenizer._SHARED_PIECE_MAX
-    assert long_piece not in table
+    for size, kept in [(PIECE_BOUND, True), (PIECE_BOUND + 1, False)]:
+        piece = "l’" + "a" * (size - 2)
+        assert normalize_line(piece) == "l’ " + "a" * (size - 2)
+        assert (piece in table) == kept
