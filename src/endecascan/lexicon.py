@@ -166,8 +166,7 @@ class WordAnalysis(Value):
             if not -(n - 1) <= o <= 0:
                 raise LexiconValidationError(
                     f"accent offset {o} outside [{-(n - 1)}, 0] for {self.form!r}")
-        # one offset, the common case, cannot repeat
-        if len(accents) > 1 and len(set(accents)) != len(accents):
+        if len(set(accents)) != len(accents):
             raise LexiconValidationError(f"duplicate accent offsets for {self.form!r}")
         if not 0.0 < weight <= 1.0:
             raise LexiconValidationError(f"weight must be in (0, 1]: {weight!r}")
@@ -181,10 +180,7 @@ def _check_weights(key: str, analyses: Iterable[WordAnalysis]) -> tuple[WordAnal
     analyses = tuple(analyses)
     if not analyses:
         raise LexiconValidationError(f"no analyses for {key!r}")
-    if len(analyses) == 1:  # the common case: one analysis is its own sum
-        total = analyses[0].weight
-    else:
-        total = sum(a.weight for a in analyses)
+    total = sum(a.weight for a in analyses)
     if abs(total - 1.0) > WEIGHT_TOLERANCE:
         raise LexiconValidationError(f"weights for {key!r} sum to {total!r}, not 1")
     return analyses

@@ -93,8 +93,8 @@ def _append_word(text: str, node: ScanState) -> str:
     return f"{text}{token.lead}{sep}{body}{token.trail}"  # one allocation
 
 
-# allocates a state without running __init__: advance sets every slot
-# that a chain node reads
+# allocates a state without running __init__, since the constructor
+# builds only the empty root: advance stores every slot of a chain node
 _new_state = object.__new__
 
 
@@ -226,7 +226,13 @@ _PUNCT = TokenKind.PUNCT
 
 
 class VerseScansion(Value):
-    """Outcome of scanning one verse; a value, never assigned to."""
+    """Outcome of scanning one verse; a value, never assigned to.
+
+    `final_states` holds each surviving path once, in the order `advance`
+    makes them (the melded branch first); `admissible` those that pass the
+    metric rules, ranked as `_rank` says; `chosen` is `admissible[0]`.  A
+    search that merges paths must keep this contract.
+    """
 
     __slots__ = _fields = ("chosen", "admissible", "status", "final_states",
                            "unknown_key", "best_rejected")
@@ -239,11 +245,6 @@ class VerseScansion(Value):
         self.chosen, self.admissible, self.status = chosen, admissible, status
         self.final_states, self.unknown_key = final_states, unknown_key
         self.best_rejected = best_rejected
-
-
-# allocates a scansion without running __init__: finalize sets all six
-# slots of the common result, an admissible verse's
-_new_scansion = object.__new__
 
 
 def meld_probability(p_r: Propensity, p_l: Propensity) -> float:
@@ -363,14 +364,8 @@ def finalize(states: list[ScanState], cfg: ScanConfig) -> VerseScansion:
             status = _WARN_NO_CAESURA
     if len(admissible) > 1:
         admissible = _rank(admissible, cfg.tie_epsilon)
-    result = _new_scansion(VerseScansion)
-    result.chosen = admissible[0]
-    result.admissible = tuple(admissible)
-    result.status = status
-    result.final_states = tuple(states)
-    result.unknown_key = None
-    result.best_rejected = None
-    return result
+    return VerseScansion(admissible[0], tuple(admissible), status,
+                         tuple(states))
 
 
 def _rank(states: list[ScanState], eps: float) -> list[ScanState]:

@@ -353,9 +353,10 @@ def test_batch_memory_does_not_grow_with_the_corpus(tmp_path, capsys,
 
 def test_scan_records_builds_the_records_the_constructor_builds(
         monkeypatch, seed_lexicon, canto_verses):
-    # scan_records builds each record without __init__; it must hold what
-    # the constructor gives.  A state's repr reads its whole chain, so a
-    # state stands in its repr by its identity
+    # each record holds its location, normalized text, tokens and the
+    # verse's scansion, as the constructor builds them: a fast path that
+    # built it slot by slot would have to match this.  A state's repr
+    # reads its whole chain, so a state stands in its repr by its identity
     monkeypatch.setattr(ScanState, "__repr__", lambda s: f"<state {id(s)}>")
     lines = fixed_lines(canto_verses)
     doc = tuple(Verse("Inferno", 1, n, line) for n, line in enumerate(lines, 1))

@@ -431,6 +431,86 @@ def test_ranking_on_fixed_inputs_is_pinned(seed_lexicon, canto_verses):
     assert digest.hexdigest() == RANKING_SHA256
 
 
+def path_key(state, lex):
+    """Per word of the state's chain: the index of its analysis in the
+    word's lexicon entry, then 0 if it melded and 1 if not."""
+    key = []
+    for link in state._chain():
+        analyses = lex.entries[link._word[0].key]
+        key += (next(i for i, a in enumerate(analyses) if a is link._analysis),
+                0 if link._melded else 1)
+    return tuple(key)
+
+
+def rerank(states, eps):
+    """By likelihood, highest first; a run within eps of its first state
+    by fewer syllables, then by position."""
+    rest = sorted(enumerate(states), key=lambda p: -p[1].likelihood)
+    ranked = []
+    while rest:
+        top = rest[0][1].likelihood
+        n = next((k for k, (_, s) in enumerate(rest) if top - s.likelihood > eps),
+                 len(rest))
+        ranked += sorted(rest[:n], key=lambda p: (p[1].count, p[0]))
+        rest = rest[n:]
+    return [s for _, s in ranked]
+
+
+def test_path_contract_on_fixed_inputs(seed_lexicon, canto_verses):
+    # what final_states and admissible promise, which a search that
+    # merges paths must keep: every path once, in construction order (the
+    # branch that melds before the one that does not); admissible is the
+    # final states that pass the metric rules, ranked; chosen is its head
+    eps = ScanConfig().tie_epsilon
+    forked = admissible = 0
+    for line in fixed_lines(canto_verses):
+        result = scan(line, seed_lexicon)
+        final = result.final_states
+        keys = [path_key(s, seed_lexicon) for s in final]
+        assert all(a < b for a, b in zip(keys, keys[1:])), line
+        forked += len({k[1::2] for k in keys}) > 1
+        if not result.status.is_admissible:
+            assert result.chosen is None and result.admissible == (), line
+            continue
+        admissible += 1
+        position = {id(s): k for k, s in enumerate(final)}
+        assert all(id(s) in position for s in result.admissible), line
+        assert len({id(s) for s in result.admissible}) == len(result.admissible)
+        kept = sorted(result.admissible, key=lambda s: position[id(s)])
+        passing = [s for s in final
+                   if s.a10 and (s.count <= 11 or not s._parent.a10)]
+        caesura = [s for s in passing if s.a4 or s.a6]
+        assert [id(s) for s in kept] == [id(s) for s in caesura or passing], line
+        assert [id(s) for s in result.admissible] == \
+            [id(s) for s in rerank(kept, eps)], line
+        assert result.admissible[0] is result.chosen, line
+    # lines whose paths differ in a meld, and admissible lines, of 347
+    assert (forked, admissible) == (236, 300)
+
+
+def test_advance_stores_every_slot_of_a_node(monkeypatch, seed_lexicon,
+                                             canto_verses):
+    # a chain node is made without __init__, so advance must store each
+    # slot itself: a slot left unset would raise only when first read
+    real_advance = scander.advance
+    nodes = 0
+
+    def checking(*args):
+        nonlocal nodes
+        successors = real_advance(*args)
+        for s in successors:
+            missing = [name for name in ScanState.__slots__
+                       if not hasattr(s, name)]
+            assert not missing, missing
+        nodes += len(successors)
+        return successors
+
+    monkeypatch.setattr(scander, "advance", checking)
+    for line in fixed_lines(canto_verses):
+        scan(line, seed_lexicon)
+    assert nodes == 228_300
+
+
 @pytest.mark.parametrize("cfg", [ScanConfig(), PERMISSIVE],
                          ids=["default", "permissive"])
 @settings(max_examples=200, deadline=None,
@@ -480,10 +560,11 @@ def test_advance_conserves_likelihood_and_grows_counts(seed_lexicon, canto_verse
 
 def test_finalize_builds_the_result_its_constructor_builds(
         monkeypatch, seed_lexicon, canto_verses):
-    # finalize builds an admissible verse's result without __init__; it
-    # must hold what the constructor gives, defaults included.  Both sides
-    # hold the same states, and a state's repr reads its whole chain, so a
-    # state stands in its repr by its identity
+    # an admissible verse's result holds its four fields and the
+    # constructor's defaults, nothing else: a fast path that built it slot
+    # by slot would have to match this.  Both sides hold the same states,
+    # and a state's repr reads its whole chain, so a state stands in its
+    # repr by its identity
     monkeypatch.setattr(ScanState, "__repr__", lambda s: f"<state {id(s)}>")
     admissible = 0
     for line in fixed_lines(canto_verses):

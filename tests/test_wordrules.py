@@ -55,6 +55,11 @@ def cfg():
     ("avrà", ["av", "rà"]),
     # "İ" lowercases to two characters; the split still counts one
     ("İtalia", ["İ", "ta", "lia"]),
+    # constructed clusters: s opens a syllable before a legal onset of up
+    # to three letters, itself led by s (sstr), and before no other
+    ("asstro", ["a", "sstro"]),
+    ("assstro", ["as", "sstro"]),
+    ("asvro", ["asv", "ro"]),
 ])
 def test_split_syllables(cfg, form, expected):
     assert split_syllables(form, cfg) == expected
@@ -140,6 +145,10 @@ def test_hiatus_list_regression(cfg):
     ("caninamente", [-1, -3]),
     ("mirabilmente", [-1, -3]),
     ("glorïosamente", [-1, -3]),
+    # the fewest syllables that take the -mente secondary
+    ("lentamente", [-1, -3]),
+    # a constructed form: a written accent on the stem is its one stress
+    ("caritàmente", [-2]),
     ("frodolente", [-1]),
     ("mente", [-1]),
 ])
@@ -166,6 +175,13 @@ def test_locate_accent_offsets_in_range(cfg, seed_lexicon):
     ("carità", ["ca", "ri", "tà"], 0.0, 0.1),
     ("gridai", ["gri", "dai"], 0.0, 0.0),
     ("segui", ["se", "gui"], 0.0, 1.0),
+    # calibrated monosyllables that seed.lex does not hold
+    ("ad", ["ad"], 0.9, 0.2),
+    ("fra", ["fra"], 0.0, 0.1),
+    ("su", ["su"], 0.0, 0.2),
+    ("va", ["va"], 0.0, 0.1),
+    # a mute h: the vowel after it meets the previous word
+    ("hanno", ["han", "no"], 1.0, 1.0),
 ])
 def test_init_propensities(cfg, form, sylls, p_l, p_r):
     left, right = init_propensities(form, sylls, cfg)
@@ -211,6 +227,8 @@ def test_build_analyses_avea_variants(cfg, seed_lexicon):
     assert (diphthong.p_l.value, diphthong.n, diphthong.p_r.value) == (1.0, 2, 0.1)
     assert (hiatus.p_l.value, hiatus.n, hiatus.p_r.value) == (1.0, 3, 1.0)
     assert (diphthong.weight, hiatus.weight) == (0.9, 0.1)
+    # a draft lexicon reads it both ways only when asked to
+    assert len(build_draft_lexicon(["avea"], cfg).entries["avea"]) == 1
 
 
 def fake_nondet_table(monkeypatch, text):
@@ -276,6 +294,18 @@ def test_rule_config_file_round():
     assert cfg.probabilistic_monosyllables["qua"] == (0.5, 0.5)
     assert cfg.never_synalephe_monosyllables == frozenset({"be", "me"})
     assert cfg.accented_final_default_p_r == 0.2
+    # a probability may be 0 or 1
+    bounds = load_rule_config("diphthong-p\t0\naccented-final-p-r\t1\n")
+    assert (bounds.diphthong_boundary_p, bounds.accented_final_default_p_r) \
+        == (0.0, 1.0)
+    # diphthong-p reaches a diphthong, not a spelling-only glide after g or
+    # gl at the start of a syllable: none in glielo's first syllable, nor
+    # in the stressed last one of the Latin sergius
+    glides = load_rule_config("diphthong-p\t0.5\n")
+    assert init_propensities("glielo", ["glie", "lo"], glides)[0] == \
+        Propensity.prob(0.0)
+    assert init_propensities("sergius", ["ser", "gius"], glides)[1] == \
+        Propensity.prob(0.0)
 
 
 def test_rule_rows_lose_the_spaces_at_their_ends_and_keep_their_tabs():
