@@ -32,8 +32,6 @@ class AmendmentMismatch(InputError):
         where = f"{amendment.cantica} {amendment.canto},{amendment.line}"
         super().__init__(
             f"amendment at {where}: expected {amendment.original!r} in {found!r}")
-        self.amendment = amendment
-        self.found = found
 
 
 def roman_to_int(value: str) -> int:

@@ -12,7 +12,8 @@ line, no space at either end), each of six TAB-separated fields::
 
     key  weight  p_l  p_r  syllabification  accents
 
-where propensities are decimals in [0, 1] or the literal ``A``
+where the weight is a decimal in (0, 1], an empty weight or ``-`` reading
+as 1, propensities are decimals in [0, 1] or the literal ``A``
 (apostrophe sentinel), the syllabification joins syllables with ``|``
 and must spell the key, and accents is a comma-separated offset list,
 primary first.  A line whose first field is ``@stress-ineligible`` lists
@@ -245,7 +246,7 @@ def parse_lexicon(text: str) -> Lexicon:
     # a lexicon holds few distinct propensity, weight and accent-list
     # texts: parse each one once; every row still checks its own values
     propensities: dict[str, Propensity] = {}
-    weights: dict[str, float] = {"": 1.0, "-": 1.0}
+    weights: dict[str, float] = {}
     accent_lists: dict[str, tuple[int, ...]] = {}
     for line_no, line in data_lines(text):
         fields = line.split("\t")
@@ -267,7 +268,8 @@ def parse_lexicon(text: str) -> Lexicon:
         weight = weights.get(weight_s)
         if weight is None:
             try:
-                weight = weights[weight_s] = float(weight_s)
+                weight = weights[weight_s] = (
+                    1.0 if weight_s in ("", "-") else float(weight_s))
             except ValueError:
                 raise LexiconParseError(f"bad weight {weight_s!r}", line_no) from None
         for p_s in (p_l_s, p_r_s):

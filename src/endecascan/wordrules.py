@@ -166,8 +166,9 @@ def _nuclei(low: str, hiatus_word: bool) -> list[tuple[int, int]]:
     while i < n:
         ch = low[i]
         if ch == APOSTROPHE:
-            nuclei.append((i, i + 1))  # d', 'l: elided vowel
-            i += 1
+            if low[i + 1:i + 2] not in VOWELS:
+                nuclei.append((i, i + 1))  # d', 'l: elided vowel
+            i += 1  # 'e: the vowel after it is the nucleus
             continue
         if ch not in VOWELS:
             i += 1
@@ -290,7 +291,7 @@ def locate_accent(form: str, syllables: list[str] | tuple[str, ...]) -> list[int
         final_nucleus = _nucleus(sylls[-1], -1)
         if n == 1:
             primary = 0
-        elif sylls[-1].endswith(APOSTROPHE) and sylls[-1][0] not in VOWELS:
+        elif sylls[-1].endswith(APOSTROPHE) and not final_nucleus:
             primary = -1  # tan|t', on|d': stress stays left of the elision
         elif last and last[-1] not in VOWELS:
             primary = 0  # truncated form, stress on the final syllable

@@ -40,6 +40,15 @@ def test_classify_word_never_synalephe(seed_lexicon, canto_document):
     assert all(o.outcome is Outcome.DIALEPHE for o in occurrences)
 
 
+def test_classify_word_skips_a_verse_with_no_chosen_reading(seed_lexicon,
+                                                           porto_report):
+    # the word's third verse fails on the unknown word beside it
+    report = scan_document(parse_corpus(PORTO_FIXTURE + "portò zzz\n"),
+                           seed_lexicon, ScanConfig())
+    assert report.failures == [("Inferno", 27, 2)]
+    assert classify_word("portò", report) == classify_word("portò", porto_report)
+
+
 def test_classify_absent_word(porto_report):
     assert classify_word("assente", porto_report) == []
 

@@ -221,6 +221,21 @@ def test_lex_build_output_of_the_canto_is_pinned(capsys, flags):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEX_BUILD_SHA256[flags]
 
 
+@pytest.mark.parametrize("flags, analyses", [((), 512), (("--all-variants",), 516)],
+                         ids=["default", "all-variants"])
+def test_lex_build_drafts_of_the_canto_are_a_dictionary(capsys, tmp_path, flags,
+                                                       analyses):
+    # what `lex build` drafts, `lex check` accepts and `scan --lexicon` reads
+    drafts = tmp_path / "drafts.lex"
+    drafts.write_text(run(capsys, "lex", "build", "--words", CANTO, *flags)[1],
+                      "utf-8")
+    assert run(capsys, "lex", "check", str(drafts)) == (
+        0, f"ok: 511 keys, {analyses} analyses\n", "")
+    assert run(capsys, "scan", "--lexicon", str(drafts), VERSE) == (
+        0, "|e|sta |sel|va |sel|vag|gia e |a|spra e |for|te\nlikelihood: 0.648\n"
+        "syllables: 11  accents: a6 a10  status: ok\n", "")
+
+
 # sha256 of `lex build` stdout on inputs that reach the hiatus, glide and
 # monosyllable rules more often than the canto does, and the stderr of
 # each; the hiatus list's `#` comment lines draft nothing
@@ -656,10 +671,10 @@ def test_a_dotted_capital_i_reaches_the_scanner(capsys, monkeypatch, tmp_path):
         "fail-no-accent10")
 
 
-def run_fresh(cwd, *args):
+def run_fresh(cwd, *args, **env):
     """Run a new interpreter, so no module is loaded yet, on the
-    interpreter arguments args."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    interpreter arguments args, with the environment variables env."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     env.pop("ENDECASCAN_LEXICON", None)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -769,6 +784,31 @@ def test_commands_from_a_fresh_process(capsys, monkeypatch, tmp_path, argv):
     assert code == 0 and out
 
 
+def test_no_output_follows_set_or_dict_order(tmp_path):
+    # each command prints and writes the same bytes under two hash seeds,
+    # which the benchmark, pinning its seed, would not notice
+    argvs = [["corpus", "--in", CANTO, "--out", "out/canto"],
+             ["corpus", "--in", str(DATA / "anomalies_fixture.txt"),
+              "--out", "out/anomalies"],
+             ["stats", "--secondary", "--in", CANTO],
+             ["query", "--word", "e", "--in", CANTO],
+             ["lex", "build", "--all-variants", "--words", CANTO]]
+    script = ("from endecascan.cli import main\n"
+              f"print([main(argv) for argv in {argvs!r}])")
+    runs = []
+    for seed in ("0", "1"):
+        work = tmp_path / seed
+        work.mkdir()
+        proc = run_fresh(work, "-c", script, PYTHONHASHSEED=seed)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        written = {path.relative_to(work).as_posix(): path.read_bytes()
+                   for path in work.rglob("*") if path.is_file()}
+        runs.append((proc.stdout, written))
+    assert runs[0] == runs[1]
+    assert runs[0][0].endswith("\n[0, 0, 0, 0, 0]\n")
+    assert len(runs[0][1]) == 6
+
+
 # argparse's help, usage and error texts, at a fixed width; each command's
 # help as a sha256 of its stdout (exit 0, nothing on stderr)
 HELP_SHA256 = {
@@ -867,14 +907,16 @@ def test_the_module_entry_exits_with_its_objects_frozen(tmp_path):
     assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["scan", NEL_MEZZO], 0),
-    (["scan", "zzz"], 1),
-    (["scan", "--lexicon", "missing.lex", NEL_MEZZO], 2),
-], ids=["ok", "unknown word", "missing dictionary"])
-def test_python_m_prints_and_exits_as_main(capsys, monkeypatch, tmp_path, argv,
-                                           code):
-    proc = run_fresh(tmp_path, "-m", "endecascan.cli", *argv)
+@pytest.mark.parametrize("flags, argv, code", [
+    ((), ["scan", NEL_MEZZO], 0),
+    ((), ["scan", "zzz"], 1),
+    ((), ["scan", "--lexicon", "missing.lex", NEL_MEZZO], 2),
+    # on an interpreter whose `site` loads nothing
+    (("-S",), ["scan", NEL_MEZZO], 0),
+], ids=["ok", "unknown word", "missing dictionary", "no site"])
+def test_python_m_prints_and_exits_as_main(capsys, monkeypatch, tmp_path, flags,
+                                           argv, code):
+    proc = run_fresh(tmp_path, *flags, "-m", "endecascan.cli", *argv)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ENDECASCAN_LEXICON", raising=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

@@ -60,6 +60,9 @@ def cfg():
     ("asstro", ["a", "sstro"]),
     ("assstro", ["as", "sstro"]),
     ("asvro", ["asv", "ro"]),
+    # an apostrophe before a vowel is no nucleus of its own (aphaeresis)
+    ("’e", ["’e"]),
+    ("’a", ["’a"]),
 ])
 def test_split_syllables(cfg, form, expected):
     assert split_syllables(form, cfg) == expected
@@ -151,6 +154,11 @@ def test_hiatus_list_regression(cfg):
     ("lentamente", [-1, -3]),
     # a constructed form: a written accent on the stem is its one stress
     ("caritàmente", [-2]),
+    # an elided last syllable that holds a vowel: the falling diphthong
+    # takes the stress, as in trovai
+    ("amai’", [0]),
+    # an apostrophe before a vowel opens a word's one syllable
+    ("’e", [0]),
 ])
 def test_locate_accent(cfg, form, expected):
     sylls = split_syllables(form, cfg)
